@@ -355,9 +355,14 @@ def _compare_mm(params, n, reps, seed, threads):
 # ---------------------------------------------------------------- file output
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write via a temp file unique to this call, so concurrent runs never share one."""
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _csv_text(header, rows) -> str:

@@ -18,11 +18,11 @@ class UnsupportedError(QueueMaxError, ValueError):
 
 
 class ConvergenceError(QueueMaxError, ArithmeticError):
-    """An iterative kernel exhausted its budget without meeting tolerance."""
+    """A kernel's result failed its tolerance (root residual, stalled bisection)."""
 
 
 class SingularError(QueueMaxError, ArithmeticError):
-    """A linear-system pivot fell below the singularity threshold."""
+    """A linear system is singular or too ill-conditioned to solve reliably."""
 
 
 class BracketError(QueueMaxError, ValueError):

@@ -128,10 +128,10 @@ def _stationary_from_omega(params: GeoParams, omega: float):
     """Boundary masses and pi_c by back-substituting the balance equations
     of columns c..1 against the geometric tail pi_j = omega^(j-c) pi_c."""
     c = params.c
-    pmfs = [increment_distribution(params, min(j, c)) for j in range(2 * c + 2)]
+    pmfs = [increment_distribution(params, busy) for busy in range(c + 1)]
 
     def trans(j: int, k: int) -> float:
-        return pmfs[j].prob(k - j)
+        return pmfs[min(j, c)].prob(k - j)
 
     ratio = {j: omega ** (j - c) for j in range(c, 2 * c + 2)}  # pi_j / pi_c
     for k in range(c, 0, -1):

@@ -7,8 +7,8 @@ Single-server maximum waits obey a Gumbel limit: with rho = lambda/mu,
 where A = lambda (1-rho)^2 for the wait in system and an extra factor rho for
 the wait in queue, giving E(max) = [ln(n) + gamma + ln A] / (mu - lambda).
 For two or more servers no analogous formulas are known and the simulator
-fills the gap; stationary mean waits, however, have exact rational forms for
-c = 1, 2, 3.
+fills the gap; stationary mean waits, however, follow from the Erlang C
+formula for any number of servers.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .errors import RangeError, StabilityError, UnsupportedError
 from .stats import EULER_GAMMA
 
 Kind = Literal["system", "queue"]
-MAX_MEAN_WAIT_SERVERS = 3
 
 
 def _check_kind(kind: str) -> str:
@@ -117,19 +116,19 @@ def expected_max_wait_mm1(params: MMParams, kind: Kind, n: float) -> float:
 
 
 def mean_wait(params: MMParams, kind: Kind) -> float:
-    """Stationary mean wait; exact rational expressions for c = 1, 2, 3.
+    """Stationary mean wait from the Erlang C formula, for any server count.
 
+    With offered load a = lambda/mu and utilization rho = a/c, the Erlang B
+    recursion B_k = a B_{k-1} / (k + a B_{k-1}) gives the probability of
+    waiting C = B_c / (1 - rho (1 - B_c)) and the queue wait C / (c mu - lambda).
     The system wait exceeds the queue wait by the mean service time 1/mu.
     """
     _check_kind(kind)
     lam, mu, c = params.lam, params.mu, params.c
-    if c == 1:
-        queue_wait = lam / ((mu - lam) * mu)
-    elif c == 2:
-        queue_wait = lam**2 / ((2.0 * mu - lam) * (2.0 * mu + lam) * mu)
-    elif c == 3:
-        queue_wait = lam**3 / ((3.0 * mu - lam) * (lam**2 + 4.0 * lam * mu + 6.0 * mu**2) * mu)
-    else:
-        raise UnsupportedError(
-            f"mean-wait closed forms cover c <= {MAX_MEAN_WAIT_SERVERS}, got c={c}")
+    offered = params.rho_single
+    blocking = 1.0
+    for k in range(1, c + 1):
+        blocking = offered * blocking / (k + offered * blocking)
+    waiting = blocking / (1.0 - params.utilization * (1.0 - blocking))
+    queue_wait = waiting / (c * mu - lam)
     return queue_wait + (1.0 / mu if kind == "system" else 0.0)

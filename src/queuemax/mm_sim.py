@@ -150,15 +150,9 @@ def replicate_wait_maxima(config: MMSimConfig, threads: int = 1) -> WaitSimResul
     counts = np.zeros(reps, dtype=np.int64)
 
     def run(i: int) -> None:
-        gen = np.random.Generator(np.random.PCG64(seeds[i]))
-        arrivals, services = _draw_customers(config.params, config.n, gen)
-        if arrivals.size == 0:
-            return
-        starts = assign_service_starts(arrivals, services, config.params.c)
-        wait_que = starts - arrivals
-        wait_sys = wait_que + services
-        table[i] = (wait_sys.max(), wait_que.max(), wait_sys.mean(), wait_que.mean())
-        counts[i] = arrivals.size
+        maxima = simulate_wait_maxima(config.params, config.n, seeds[i])
+        table[i] = (maxima.max_sys, maxima.max_que, maxima.mean_sys, maxima.mean_que)
+        counts[i] = maxima.customers
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,9 +1,10 @@
-"""Small numeric kernels: low-degree complex polynomial roots, a dense
-complex linear solve with partial pivoting, and guarded bisection.
+"""Small numeric kernels: complex polynomial roots, a dense complex linear
+solve, and guarded bisection.
 
-Everything here is deliberately tiny (degree <= 4, dimension <= 8). At that
-scale robustness beats sophistication: roots are found simultaneously with no
-deflation, and every result is residual-checked before it is returned.
+Roots and solves come from numpy (np.roots, np.linalg.solve); what this module
+adds is the certificate around each: every root is residual-checked, every
+solve is guarded against near-singularity and residual-checked, and a result
+that fails its check raises a typed error instead of being returned.
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ COEFF_TRIM_REL = 1e-15
 ROOT_RESIDUAL_REL = 1e-10
 PIVOT_REL = 1e-13
 SOLVE_RESIDUAL_REL = 1e-10
-MAX_DEGREE = 4
-MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -62,39 +61,18 @@ class ComplexRootSet:
     residuals: np.ndarray
 
 
-def polynomial_roots(poly: Polynomial, max_iter: int = 500) -> ComplexRootSet:
-    """All complex roots of a degree 1..4 polynomial.
+def polynomial_roots(poly: Polynomial) -> ComplexRootSet:
+    """All complex roots of a polynomial of degree >= 1.
 
-    Uses simultaneous Weierstrass/Durand-Kerner iteration (no deflation), then
-    certifies each root by |P(z)| < 1e-10 * max|coefficient|. Conjugate pairs
-    come out adjacent in the (real, imag)-sorted result.
+    np.roots finds them as companion-matrix eigenvalues; each root is then
+    certified by |P(z)| < 1e-10 * max|coefficient|. Conjugate pairs come out
+    adjacent in the (real, imag)-sorted result.
     """
-    degree = poly.degree
-    if not 1 <= degree <= MAX_DEGREE:
-        raise RangeError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+    if poly.degree < 1:
+        raise RangeError(f"degree must be at least 1, got {poly.degree}")
     coeffs = poly.coefficients
     scale = float(np.max(np.abs(coeffs)))
-
-    if degree == 1:
-        roots = np.array([-coeffs[0] / coeffs[1]], dtype=complex)
-    else:
-        monic = (coeffs / coeffs[-1]).astype(complex)
-        radius = 1.0 + float(np.max(np.abs(monic[:-1])))
-        angles = 2.0 * np.pi * np.arange(degree) / degree + 0.7
-        roots = radius * np.exp(1j * angles)
-        step_tol = 1e-14 * max(1.0, radius)
-        for _ in range(max_iter):
-            values = np.polyval(monic[::-1], roots)
-            new_roots = roots.copy()
-            for i in range(degree):
-                denom = np.prod(roots[i] - np.delete(roots, i))
-                if denom == 0:  # collided iterates; nudge apart
-                    denom = step_tol
-                new_roots[i] = roots[i] - values[i] / denom
-            shift = float(np.max(np.abs(new_roots - roots)))
-            roots = new_roots
-            if shift < step_tol:
-                break
+    roots = np.roots(coeffs[::-1]).astype(complex)
 
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]
@@ -112,45 +90,33 @@ def polynomial_roots(poly: Polynomial, max_iter: int = 500) -> ComplexRootSet:
 
 
 def solve_linear_system(matrix, rhs) -> np.ndarray:
-    """Solve a small dense complex system by Gaussian elimination.
+    """Solve a small dense complex system with np.linalg.solve.
 
-    Scaled partial pivoting; raises SingularError when the best available
-    pivot is below 1e-13 of its row scale. The solution is verified against
-    the backward residual ||Ax - b||_inf < 1e-10 ||b||_inf.
+    Rows are equilibrated to unit max-norm first; raises SingularError when a
+    row is identically zero or the reciprocal 1-norm condition number of the
+    equilibrated matrix is below 1e-13. The solution is verified against the
+    backward residual ||Ax - b||_inf < 1e-10 ||b||_inf.
     """
     a = np.array(matrix, dtype=complex)
     b = np.array(rhs, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise RangeError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n > MAX_DIM or b.shape != (n,):
-        raise RangeError(f"system must be at most {MAX_DIM}x{MAX_DIM} with matching rhs")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
+        raise RangeError(f"need a square matrix and matching rhs, got {a.shape} and {b.shape}")
 
     scales = np.max(np.abs(a), axis=1)
     if np.any(scales == 0.0):
         raise SingularError("matrix has an identically zero row")
-    original_a, original_b = a.copy(), b.copy()
+    equilibrated = a / scales[:, None]
+    rcond = 1.0 / np.linalg.cond(equilibrated, 1)  # 0 for an exactly singular matrix
+    if rcond < PIVOT_REL:
+        raise SingularError(f"reciprocal condition number {rcond} below {PIVOT_REL}")
+    try:
+        x = np.linalg.solve(equilibrated, b / scales)
+    except np.linalg.LinAlgError as exc:
+        raise SingularError(str(exc)) from exc
 
-    for col in range(n):
-        ratios = np.abs(a[col:, col]) / scales[col:]
-        pivot_row = col + int(np.argmax(ratios))
-        if np.abs(a[pivot_row, col]) < PIVOT_REL * scales[pivot_row]:
-            raise SingularError(f"pivot in column {col} below threshold")
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-            scales[[col, pivot_row]] = scales[[pivot_row, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1:] -= factors * b[col]
-
-    x = np.zeros(n, dtype=complex)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - np.dot(a[row, row + 1:], x[row + 1:])) / a[row, row]
-
-    rhs_norm = float(np.max(np.abs(original_b)))
+    rhs_norm = float(np.max(np.abs(b)))
     if rhs_norm > 0.0:
-        residual = float(np.max(np.abs(original_a @ x - original_b)))
+        residual = float(np.max(np.abs(a @ x - b)))
         if residual >= SOLVE_RESIDUAL_REL * rhs_norm:
             raise SingularError(
                 f"backward residual {residual} exceeds {SOLVE_RESIDUAL_REL * rhs_norm}")
@@ -158,12 +124,13 @@ def solve_linear_system(matrix, rhs) -> np.ndarray:
 
 
 def fixed_point_root(f: Callable[[float], float], lo: float, hi: float,
-                     tol: float, max_iter: int = 200) -> float:
+                     tol: float) -> float:
     """Root of a continuous scalar function by bisection.
 
     Requires a sign change on [lo, hi]; returns x with |f(x)| < tol and final
     bracket width < tol. Convergence is guaranteed for any continuous f, which
-    is why bisection is used over anything faster.
+    is why bisection is used over anything faster. The loop ends at the latest
+    when the bracket holds no float between its ends.
     """
     if tol <= 0.0:
         raise RangeError(f"tol must be positive, got {tol}")
@@ -177,7 +144,7 @@ def fixed_point_root(f: Callable[[float], float], lo: float, hi: float,
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
 
-    for _ in range(max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # bracket exhausted at float resolution
             break

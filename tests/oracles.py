@@ -2,7 +2,8 @@
 
 Deliberately built on different machinery than the library paths they check:
 dense numpy linear algebra for stationary vectors, direct Monte Carlo for
-hitting probabilities, and scan+bisection for real polynomial roots.
+hitting probabilities, scan+bisection for real polynomial roots, and for the
+continuous queue a truncated birth-death chain plus Little's law.
 """
 from __future__ import annotations
 
@@ -88,3 +89,35 @@ def real_roots_by_bisection(coeffs, lo: float, hi: float, samples: int = 20000):
                     a = mid
             roots.append(0.5 * (a + b))
     return roots
+
+
+def mm_queue_wait_birth_death(lam: float, mu: float, c: int, size: int = 800) -> float:
+    """Mean queue wait of M/M/c from its truncated birth-death chain.
+
+    Solves pi Q = 0, sum pi = 1 for the generator on states 0..size-1, then
+    applies Little's law to the mean queue length: W_q = L_q / lambda.
+    """
+    states = np.arange(size)
+    generator = np.zeros((size, size))
+    generator[states[:-1], states[1:]] = lam
+    generator[states[1:], states[:-1]] = np.minimum(states[1:], c) * mu
+    generator[states, states] = -generator.sum(axis=1)
+    # the normalization replaces the balance equation of state 0; replacing
+    # that of the nearly massless top state instead costs most of the
+    # relative accuracy of L_q at light load
+    system = generator.T.copy()
+    system[0, :] = 1.0
+    rhs = np.zeros(size)
+    rhs[0] = 1.0
+    pi = np.linalg.solve(system, rhs)
+    return float(np.dot(np.maximum(states - c, 0), pi)) / lam
+
+
+def mm_queue_wait_rational(lam: float, mu: float, c: int) -> float:
+    """Mean queue wait of M/M/c as an explicit rational function, c = 1, 2, 3."""
+    forms = {
+        1: lambda: lam / ((mu - lam) * mu),
+        2: lambda: lam**2 / ((2.0 * mu - lam) * (2.0 * mu + lam) * mu),
+        3: lambda: lam**3 / ((3.0 * mu - lam) * (lam**2 + 4.0 * lam * mu + 6.0 * mu**2) * mu),
+    }
+    return forms[c]()

@@ -1,11 +1,15 @@
 """Command-line surface: reports, file outputs, determinism, exit codes."""
 import json
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from queuemax import summarize
-from queuemax.cli import main, parse_number
+from queuemax.cli import _atomic_write, main, parse_number
 
 
 def read_json(path):
@@ -62,6 +66,16 @@ class TestAnalyze:
         assert report["max_wait"]["available"] is False
         assert report["mean_wait"]["queue"] == pytest.approx(3.2, abs=1e-9)
 
+    def test_mm_four_servers_analyze_and_compare(self, tmp_path, capsys):
+        args = ["mm", "--lambda", "1.6", "--mu", "1/2", "--c", "4", "--n", "200"]
+        assert main(["analyze"] + args + ["--out", str(tmp_path / "a")]) == 0
+        assert main(["compare"] + args + ["--reps", "20", "--seed", "4",
+                                          "--out", str(tmp_path / "c")]) == 0
+        report = read_json(tmp_path / "a" / "summary.json")
+        assert report["mean_wait"]["queue"] == pytest.approx(1.4910811794685117, rel=1e-12)
+        compared = read_json(tmp_path / "c" / "summary.json")
+        assert compared["mean_wait_analytic"] == report["mean_wait"]
+
     def test_unstable_parameters_exit_2(self, capsys):
         code = main(["analyze", "geo", "--p", "0.9", "--r", "0.2", "--c", "3"])
         assert code == 2
@@ -99,6 +113,51 @@ class TestAnalyze:
               "--n", "1000", "--out", str(out)])
         leftovers = [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
         assert leftovers == []
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_into_one_path(self, tmp_path):
+        target = tmp_path / "summary.json"
+        texts = [f"writer {i}\n" * (2000 + i) for i in range(8)]
+        errors = []
+        deadline = time.monotonic() + 1.0
+
+        def writer(text):
+            try:
+                while time.monotonic() < deadline:
+                    _atomic_write(target, text)
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(text,)) for text in texts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert target.read_text() in texts
+        assert [path.name for path in tmp_path.iterdir()] == ["summary.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("synthetic rename failure")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            _atomic_write(tmp_path / "summary.json", "text\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_permissions_match_a_plain_write(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("text\n")
+        _atomic_write(tmp_path / "atomic.txt", "text\n")
+        assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
 
 
 class TestSimulate:

@@ -7,6 +7,7 @@ import pytest
 from queuemax import (EULER_GAMMA, RangeError, StabilityError, UnsupportedError,
                       expected_max_wait_mm1, max_wait_cdf_mm1, mean_wait,
                       mm1_asymptotics, validate_mm_params)
+from oracles import mm_queue_wait_birth_death, mm_queue_wait_rational
 
 SINGLE = validate_mm_params(1 / 3, 1 / 2, 1)
 TWO = validate_mm_params(1 / 3, 1 / 4, 2)
@@ -117,9 +118,23 @@ class TestMeanWait:
         # lambda = 1/3, mu = 1/(2c): more, slower servers shorten the queue wait
         assert mean_wait(SINGLE, "queue") > mean_wait(TWO, "queue") > mean_wait(THREE, "queue")
 
-    def test_four_servers_unsupported(self):
-        with pytest.raises(UnsupportedError):
-            mean_wait(validate_mm_params(0.1, 0.5, 4), "queue")
+    def test_many_servers_match_birth_death_chain(self):
+        for c in range(4, 9):
+            for utilization in (0.1, 0.5, 0.8, 0.9):
+                mu = 0.5
+                params = validate_mm_params(utilization * c * mu, mu, c)
+                expected = mm_queue_wait_birth_death(params.lam, mu, c)
+                assert mean_wait(params, "queue") == pytest.approx(expected, rel=1e-12)
+                assert mean_wait(params, "system") == pytest.approx(expected + 1.0 / mu, rel=1e-12)
+
+    def test_one_to_three_servers_match_rational_forms(self):
+        for c in (1, 2, 3):
+            for mu in (0.25, 1.0, 3.0):
+                for utilization in np.linspace(0.01, 0.99, 25):
+                    lam = float(utilization) * c * mu
+                    params = validate_mm_params(lam, mu, c)
+                    assert mean_wait(params, "queue") == pytest.approx(
+                        mm_queue_wait_rational(lam, mu, c), rel=1e-12)
 
     def test_gumbel_mean_consistency(self):
         # mean of the implied Gumbel law equals the expected-maximum formula
