@@ -29,7 +29,9 @@ from . import __version__
 from .errors import (BracketError, ConvergenceError, DegenerateRootsError,
                      DegenerateSampleError, QueueMaxError, RangeError,
                      SingularError, StabilityError, UnsupportedError)
-from .geo_analysis import analyze_geo, expected_max_length, max_length_law, mean_queue_length
+from .geo_analysis import analyze_geo, expected_max_length, max_length_law
+# not called here; kept as cli.mean_queue_length, which the perfbench tracer wraps and probes call
+from .geo_analysis import mean_queue_length  # noqa: F401
 from .geo_sim import GeoSimConfig, replicate_max_length
 from .mm_analysis import (expected_max_wait_mm1, max_wait_cdf_mm1, mean_wait,
                           validate_mm_params)
@@ -172,7 +174,7 @@ def _analyze_geo_report(params, n):
             "intercept": law.intercept,
             "expected_max": expected_max_length(analysis, n),
         },
-        "mean_queue_length": mean_queue_length(params),
+        "mean_queue_length": analysis.mean_queue_length,
     }
     return report, _geo_cdf_table(law), ["k", "predicted"]
 
@@ -280,7 +282,7 @@ def _compare_geo(params, n, reps, seed, threads):
             "slope": law.slope,
             "intercept": law.intercept,
             "expected_max": law.mean(),
-            "mean_queue_length": mean_queue_length(params),
+            "mean_queue_length": analysis.mean_queue_length,
         },
         "empirical": {
             "mean_max": result.mean,

@@ -18,7 +18,8 @@ class UnsupportedError(QueueMaxError, ValueError):
 
 
 class ConvergenceError(QueueMaxError, ArithmeticError):
-    """A kernel's result failed its tolerance (root residual, stalled bisection)."""
+    """A kernel's result failed its tolerance (root residual, stalled bisection,
+    a simulated queue length past its sanity cap)."""
 
 
 class SingularError(QueueMaxError, ArithmeticError):

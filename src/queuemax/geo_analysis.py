@@ -83,6 +83,11 @@ class GeoAnalysis:
             return self.pi_boundary[j]
         return self.omega ** (j - c) * self.pi_c
 
+    @property
+    def mean_queue_length(self) -> float:
+        """Stationary mean queue length, from the law already computed here."""
+        return _stationary_mean(self.params.c, self.omega, self.pi_boundary, self.pi_c)
+
 
 def decay_rate_omega(params: GeoParams) -> float:
     """Unique root in (0, 1) of w = (qw+p)(rw+s)^c.
@@ -324,10 +329,15 @@ def expected_max_length(analysis: GeoAnalysis, n: float) -> float:
 def mean_queue_length(params: GeoParams) -> float:
     """Stationary mean queue length sum_j j pi_j.
 
-    Boundary terms are summed directly; the geometric tail contributes
-    pi_c (c - (c-1) omega)/(1 - omega)^2 in closed form.
+    Solves for omega and the stationary law; `GeoAnalysis.mean_queue_length`
+    gives the same value from an analysis already at hand.
     """
     omega = decay_rate_omega(params)
-    boundary, pi_c = _stationary_from_omega(params, omega)
-    tail = (params.c - (params.c - 1) * omega) / (1.0 - omega) ** 2 * pi_c
+    return _stationary_mean(params.c, omega, *_stationary_from_omega(params, omega))
+
+
+def _stationary_mean(c: int, omega: float, boundary, pi_c: float) -> float:
+    """Boundary terms summed directly; the geometric tail contributes
+    pi_c (c - (c-1) omega)/(1 - omega)^2 in closed form."""
+    tail = (c - (c - 1) * omega) / (1.0 - omega) ** 2 * pi_c
     return sum(j * mass for j, mass in enumerate(boundary)) + tail

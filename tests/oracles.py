@@ -121,3 +121,20 @@ def mm_queue_wait_rational(lam: float, mu: float, c: int) -> float:
         3: lambda: lam**3 / ((3.0 * mu - lam) * (lam**2 + 4.0 * lam * mu + 6.0 * mu**2) * mu),
     }
     return forms[c]()
+
+
+def geo_max_by_recursion(p: float, r: float, c: int, n: int, gen: np.random.Generator) -> int:
+    """Maximum queue length of the exact slot recursion, one slot at a time.
+
+    Each slot takes c+1 uniforms from the stream: the arrival's, then one per
+    server. With a = [arrival], C[k] the completions among the first k
+    servers and C[0] = 0, the state moves as u <- u + a - C[min(u, c)].
+    """
+    u = peak = 0
+    for row in gen.random((n, c + 1)).tolist():
+        completions = [0]
+        for uniform in row[1:]:
+            completions.append(completions[-1] + (uniform < r))
+        u += (row[0] < p) - completions[min(u, c)]
+        peak = max(peak, u)
+    return peak

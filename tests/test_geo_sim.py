@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import queuemax.geo_sim as geo_sim
-from queuemax import (GeoSimConfig, RangeError, analyze_geo, expected_max_length,
+from queuemax.cli import EXIT_NUMERIC, main
+from queuemax import (ConvergenceError, GeoSimConfig, RangeError, analyze_geo, expected_max_length,
                       max_length_law, mean_queue_length, replicate_max_length,
                       simulate_max_length, substream_generator, substream_seed,
                       time_average_queue_length, validate_geo_params)
@@ -57,13 +58,49 @@ class TestDeterminism:
         assert vector.tolist() == scalar
 
     def test_schedule_independence(self, monkeypatch):
-        config = GeoSimConfig(REFERENCE, 800, 50, seed=5)
-        reference_samples = replicate_max_length(config).samples
-        monkeypatch.setattr(geo_sim, "REP_CHUNK", 7)
-        chunked = replicate_max_length(config).samples
-        threaded = replicate_max_length(config, threads=4).samples
-        assert np.array_equal(reference_samples, chunked)
-        assert np.array_equal(reference_samples, threaded)
+        for params in (REFERENCE, FAST_SINGLE):
+            config = GeoSimConfig(params, 800, 50, seed=5)
+            reference_samples = replicate_max_length(config).samples
+            for block in (1, 7, 333, 4096):
+                with monkeypatch.context() as patch:
+                    patch.setattr(geo_sim, "BLOCK", block)
+                    patch.setattr(geo_sim, "DRAW_CHUNK", 3)
+                    patch.setattr(geo_sim, "REP_CHUNK", 7)
+                    chunked = replicate_max_length(config).samples
+                    threaded = replicate_max_length(config, threads=4).samples
+                    scalar = geo_sim._run_single(params, 800, substream_generator(5, 49))
+                assert np.array_equal(reference_samples, chunked)
+                assert np.array_equal(reference_samples, threaded)
+                assert scalar == reference_samples[49]
+
+
+class TestStateCap:
+    """The tripwire raises a typed error, so it holds under `python -O` too."""
+
+    @pytest.mark.parametrize("params", [REFERENCE, FAST_SINGLE])
+    def test_vector_path_raises(self, monkeypatch, params):
+        monkeypatch.setattr(geo_sim, "STATE_CAP", 3)
+        with pytest.raises(ConvergenceError, match="state cap"):
+            replicate_max_length(GeoSimConfig(params, 5000, 8, seed=1))
+
+    @pytest.mark.parametrize("params", [REFERENCE, FAST_SINGLE])
+    def test_scalar_path_raises(self, monkeypatch, params):
+        monkeypatch.setattr(geo_sim, "STATE_CAP", 3)
+        with pytest.raises(ConvergenceError, match="state cap"):
+            simulate_max_length(params, 5000, seed=1)
+
+    def test_below_cap_runs(self, monkeypatch):
+        config = GeoSimConfig(REFERENCE, 2000, 8, seed=1)
+        peak = int(replicate_max_length(config).samples.max())
+        monkeypatch.setattr(geo_sim, "STATE_CAP", peak + 1)
+        assert int(replicate_max_length(config).samples.max()) == peak
+
+    def test_cli_exits_numeric(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(geo_sim, "STATE_CAP", 3)
+        code = main(["simulate", "geo", "--p", "1/3", "--r", "1/6", "--c", "3",
+                     "--n", "5000", "--reps", "8", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert "state cap" in capsys.readouterr().err
 
 
 class TestDistribution:
