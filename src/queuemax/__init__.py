@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 from .errors import (BracketError, ConvergenceError, DegenerateRootsError,
                      DegenerateSampleError, HeuristicRangeWarning, QueueMaxError,
                      RangeError, SingularError, StabilityError, UnsupportedError)
-from .geo_analysis import (GeoAnalysis, MaxLengthLaw, NuRecord, analyze_geo,
-                           clump_rate, decay_rate_omega, decay_rate_omega_closed_form,
+from .geo_analysis import (GeoAnalysis, MaxLengthLaw, NuRecord, analyze_geo, decay_rate_omega,
                            expected_max_length, hitting_probabilities, max_length_cdf,
                            max_length_law, mean_queue_length, stationary_distribution)
 from .geo_sim import (GeoSimConfig, replicate_max_length, simulate_max_length,
@@ -48,9 +47,8 @@ __all__ = [
     "fixed_point_root",
     # discrete-queue analytics
     "GeoAnalysis", "NuRecord", "MaxLengthLaw", "analyze_geo", "decay_rate_omega",
-    "decay_rate_omega_closed_form", "stationary_distribution", "hitting_probabilities",
-    "clump_rate", "max_length_law", "max_length_cdf", "expected_max_length",
-    "mean_queue_length",
+    "stationary_distribution", "hitting_probabilities", "max_length_law", "max_length_cdf",
+    "expected_max_length", "mean_queue_length",
     # discrete-queue simulator
     "GeoSimConfig", "simulate_max_length", "replicate_max_length",
     "time_average_queue_length",

@@ -21,14 +21,15 @@ import secrets
 import sys
 import time
 from fractions import Fraction
+from functools import partial
+from math import ceil, exp, log, nan
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (BracketError, ConvergenceError, DegenerateRootsError,
-                     DegenerateSampleError, QueueMaxError, RangeError,
-                     SingularError, StabilityError, UnsupportedError)
+from .errors import (BracketError, ConvergenceError, DegenerateRootsError, QueueMaxError,
+                     RangeError, SingularError)
 from .geo_analysis import analyze_geo, expected_max_length, max_length_law
 # not called here; kept as cli.mean_queue_length, which the perfbench tracer wraps and probes call
 from .geo_analysis import mean_queue_length  # noqa: F401
@@ -49,7 +50,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_VALIDATION_ERRORS = (RangeError, StabilityError, UnsupportedError, DegenerateSampleError)
 _NUMERIC_ERRORS = (ConvergenceError, SingularError, BracketError, DegenerateRootsError)
 
 
@@ -63,9 +63,10 @@ def parse_number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from exc
 
 
-def parse_seed(text: str):
+def parse_seed(text: str) -> int:
+    """An integer master seed, or 'random' for one drawn from entropy."""
     if text == "random":
-        return "random"
+        return secrets.randbits(63)
     try:
         return int(text, 0)
     except ValueError as exc:
@@ -96,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--reps", type=int, default=1000)
             sub.add_argument("--seed", type=parse_seed, default=DEFAULT_MASTER_SEED,
                              help="master seed (integer), or 'random' for entropy")
-            sub.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -107,51 +107,89 @@ def _require(args, names):
             raise RangeError(f"{flag} is required for target {args.target!r}")
 
 
-def _geo_params(args):
+def _geo_inputs(args):
+    """Validated parameters and horizon in time steps."""
     _require(args, ("p", "r"))
-    return validate_geo_params(args.p, args.r, args.c)
-
-
-def _mm_params(args):
-    _require(args, ("lam", "mu"))
-    return validate_mm_params(args.lam, args.mu, args.c)
-
-
-def _geo_horizon(args) -> int:
+    params = validate_geo_params(args.p, args.r, args.c)
     if args.n != int(args.n) or args.n < 1:
         raise RangeError(f"--n must be a positive integer of time steps, got {args.n}")
-    return int(args.n)
+    return params, int(args.n)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed == "random":
-        return secrets.randbits(63)
-    return int(args.seed)
+def _mm_inputs(args):
+    """Validated parameters and interval length."""
+    _require(args, ("lam", "mu"))
+    return validate_mm_params(args.lam, args.mu, args.c), float(args.n)
+
+
+_INPUTS = {"geo": _geo_inputs, "mm": _mm_inputs}
 
 
 # ---------------------------------------------------------------- reports
+#
+# One builder per (command, target): builder(params, n, reps, seed) returns
+# (report, samples pack, cdf pack), a pack being (header, rows) or None.
+# compare reuses simulate's replications and report header and analyze's
+# analytic helpers.
+
+def _prng(target) -> dict:
+    prng = {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION}
+    if target == "mm":
+        prng["exponentials"] = EXPONENTIAL_METHOD
+    return prng
+
+
+def _sim_report(target, params, n, reps, seed) -> dict:
+    return {"target": target, "params": params, "n": n, "reps": reps, "seed": seed,
+            "prng": _prng(target)}
+
+
+def _ecdf_pack(ecdf):
+    return ["value", "empirical"], list(zip(ecdf.values.tolist(), ecdf.probabilities.tolist()))
+
+
+def _gumbel_fit(samples):
+    """Two-moment Gumbel fit, or None for a sample without spread."""
+    return gumbel_fit_two_moment(samples) if samples.std() > 0 else None
+
+
+def _fit_report(fit):
+    return {"location": fit.location, "scale": fit.scale} if fit else None
+
+
+def _geo_law(params, n):
+    analysis = analyze_geo(params)
+    return analysis, max_length_law(analysis, n)
+
 
 def _geo_cdf_table(law, empirical=None):
-    """Rows (k, predicted[, empirical]) across the informative probability range."""
-    k = law.servers
-    while law.cdf(k) < CDF_PROB_FLOOR:
-        k += 1
-    rows = []
-    while True:
-        predicted = law.cdf(k)
-        row = [k, predicted]
-        if empirical is not None:
-            row.append(float(empirical.evaluate(k)))
-        rows.append(row)
-        if predicted >= 1.0 - CDF_PROB_FLOOR:
-            break
-        k += 1
-    return rows
+    """Rows (k, predicted[, empirical]) across the informative probability range.
+
+    The range runs from the first k >= servers whose predicted CDF
+    exp(scale * omega**k) reaches CDF_PROB_FLOOR to the first whose CDF
+    reaches 1 - CDF_PROB_FLOOR. The CDF increases in k, so each end is
+    estimated from logs and settled on the exact values.
+    """
+    scale, omega = -law.beta * law.n, law.omega
+
+    def first_reaching(level, start):
+        k = max(start, ceil((log(-log(level)) - log(-scale)) / log(omega)))
+        while k > start and exp(scale * omega ** (k - 1)) >= level:
+            k -= 1
+        while exp(scale * omega**k) < level:
+            k += 1
+        return k
+
+    low = first_reaching(CDF_PROB_FLOOR, law.servers)
+    ks = range(low, first_reaching(1.0 - CDF_PROB_FLOOR, low) + 1)
+    predicted = [exp(scale * omega**k) for k in ks]
+    if empirical is None:
+        return list(zip(ks, predicted))
+    return list(zip(ks, predicted, empirical.evaluate(np.asarray(ks)).tolist()))
 
 
-def _analyze_geo_report(params, n):
-    analysis = analyze_geo(params)
-    law = max_length_law(analysis, n)
+def _analyze_geo(params, n, *_):
+    analysis, law = _geo_law(params, n)
     report = {
         "target": "geo",
         "params": {"p": params.p, "r": params.r, "c": params.c,
@@ -176,182 +214,159 @@ def _analyze_geo_report(params, n):
         },
         "mean_queue_length": analysis.mean_queue_length,
     }
-    return report, _geo_cdf_table(law), ["k", "predicted"]
+    return report, None, (["k", "predicted"], _geo_cdf_table(law))
+
+
+def _geo_replicate(params, n, reps, seed):
+    """The replications, with the report header and samples table simulate and compare share."""
+    result = replicate_max_length(GeoSimConfig(params, n, reps, seed))
+    report = _sim_report("geo", {"p": params.p, "r": params.r, "c": params.c}, n, reps, seed)
+    rows = list(zip(range(reps), result.seeds.tolist(), result.samples.tolist()))
+    return result, report, (["replication", "seed", "max_length"], rows)
+
+
+def _simulate_geo(params, n, reps, seed):
+    result, report, samples = _geo_replicate(params, n, reps, seed)
+    report["max_length"] = {
+        "mean": result.mean,
+        "se": result.se,
+        "min": int(result.samples.min()),
+        "max": int(result.samples.max()),
+    }
+    return report, samples, _ecdf_pack(result.ecdf)
+
+
+def _compare_geo(params, n, reps, seed):
+    result, report, samples = _geo_replicate(params, n, reps, seed)
+    analysis, law = _geo_law(params, n)
+    report["analytic"] = {
+        "omega": analysis.omega,
+        "beta": analysis.beta,
+        "slope": law.slope,
+        "intercept": law.intercept,
+        "expected_max": law.mean(),
+        "mean_queue_length": analysis.mean_queue_length,
+    }
+    report["empirical"] = {
+        "mean_max": result.mean,
+        "se": result.se if reps > 1 else None,
+        "gumbel_fit": _fit_report(_gumbel_fit(result.samples)),
+    }
+    report["ks_distance"] = ks_distance(result.ecdf, law.cdf, lattice=True)
+    cdf_rows = _geo_cdf_table(law, empirical=result.ecdf)
+    return report, samples, (["k", "predicted", "empirical"], cdf_rows)
+
+
+MM_KINDS = (("sys", "system"), ("que", "queue"))
+
+
+def _mm_mean_waits(params) -> dict:
+    return {"queue": mean_wait(params, "queue"), "system": mean_wait(params, "system")}
+
+
+def _mm1_expected_maxima(params, n) -> dict:
+    return {f"expected_max_{label}": expected_max_wait_mm1(params, kind, n)
+            for label, kind in MM_KINDS}
+
+
+def _mm1_cdfs(params, n) -> dict:
+    """The single-server maximum-wait laws over [0, n], keyed by sys and que."""
+    return {label: partial(max_wait_cdf_mm1, params, kind, n) for label, kind in MM_KINDS}
 
 
 def _mm_cdf_grid(params, n):
     """y grid covering the single-server maximum-wait law up to its far tail."""
     asym_rate = params.lam * (1.0 - params.rho_single) ** 2
-    y_hi = (np.log(asym_rate * n) - np.log(-np.log(1.0 - 1e-6))) * \
-        1.0 / (params.mu - params.lam)
+    y_hi = (np.log(asym_rate * n) - np.log(-np.log(1.0 - 1e-6))) / (params.mu - params.lam)
     return np.linspace(0.0, max(y_hi, 1.0), CDF_POINTS)
 
 
-def _analyze_mm_report(params, n):
+def _analyze_mm(params, n, *_):
     report = {
         "target": "mm",
         "params": {"lambda": params.lam, "mu": params.mu, "c": params.c,
                    "rho_single_server": params.rho_single,
                    "rho_per_server": params.utilization},
         "n": n,
-        "mean_wait": {"queue": mean_wait(params, "queue"),
-                      "system": mean_wait(params, "system")},
+        "mean_wait": _mm_mean_waits(params),
     }
-    rows, header = [], ["y", "predicted_sys", "predicted_que"]
-    if params.c == 1:
-        report["max_wait"] = {
-            "available": True,
-            "expected_max_sys": expected_max_wait_mm1(params, "system", n),
-            "expected_max_que": expected_max_wait_mm1(params, "queue", n),
-            "slope": 1.0 / (params.mu - params.lam),
-        }
-        for y in _mm_cdf_grid(params, n):
-            rows.append([float(y),
-                         max_wait_cdf_mm1(params, "system", n, float(y)),
-                         max_wait_cdf_mm1(params, "queue", n, float(y))])
-    else:
+    if params.c > 1:
         report["max_wait"] = {
             "available": False,
             "note": "no analytic maximum-wait formulas for c >= 2; use simulate or compare",
         }
-    return report, rows, header
+        return report, None, None
+    report["max_wait"] = {"available": True, **_mm1_expected_maxima(params, n),
+                          "slope": 1.0 / (params.mu - params.lam)}
+    cdfs = _mm1_cdfs(params, n)
+    rows = [[y, cdfs["sys"](y), cdfs["que"](y)] for y in _mm_cdf_grid(params, n).tolist()]
+    return report, None, (["y", "predicted_sys", "predicted_que"], rows)
 
 
-def _simulate_geo(params, n, reps, seed, threads):
-    result = replicate_max_length(GeoSimConfig(params, n, reps, seed), threads=threads)
-    report = {
-        "target": "geo",
-        "params": {"p": params.p, "r": params.r, "c": params.c},
-        "n": n, "reps": reps, "seed": seed,
-        "prng": {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION},
-        "max_length": {
-            "mean": result.mean,
-            "se": result.se,
-            "min": int(result.samples.min()),
-            "max": int(result.samples.max()),
-        },
-    }
-    samples_rows = [[i, int(result.seeds[i]), int(result.samples[i])] for i in range(reps)]
-    cdf_rows = [[float(v), float(prob)]
-                for v, prob in zip(result.ecdf.values, result.ecdf.probabilities)]
-    return report, result, samples_rows, ["replication", "seed", "max_length"], cdf_rows
+def _mm_replicate(params, n, reps, seed):
+    """The replications, with the report header and samples table simulate and compare share."""
+    result = replicate_wait_maxima(MMSimConfig(params, n, reps, seed))
+    report = _sim_report("mm", {"lambda": params.lam, "mu": params.mu, "c": params.c},
+                         n, reps, seed)
+    columns = (result.max_sys.seeds, result.max_sys.samples, result.max_que.samples,
+               result.mean_sys.samples, result.mean_que.samples, result.customers)
+    rows = list(zip(range(reps), *(column.tolist() for column in columns)))
+    header = ["replication", "seed", "max_sys", "max_que", "mean_sys", "mean_que", "customers"]
+    return result, report, (header, rows)
 
 
-def _simulate_mm(params, n, reps, seed, threads):
-    result = replicate_wait_maxima(MMSimConfig(params, n, reps, seed), threads=threads)
-    report = {
-        "target": "mm",
-        "params": {"lambda": params.lam, "mu": params.mu, "c": params.c},
-        "n": n, "reps": reps, "seed": seed,
-        "prng": {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION,
-                 "exponentials": EXPONENTIAL_METHOD},
+def _simulate_mm(params, n, reps, seed):
+    result, report, samples = _mm_replicate(params, n, reps, seed)
+    report.update({
         "max_sys": {"mean": result.max_sys.mean, "se": result.max_sys.se},
         "max_que": {"mean": result.max_que.mean, "se": result.max_que.se},
         "mean_sys": {"pooled": result.pooled_mean_sys, "per_rep_mean": result.mean_sys.mean},
         "mean_que": {"pooled": result.pooled_mean_que, "per_rep_mean": result.mean_que.mean},
         "customers": int(result.customers.sum()),
+    })
+    return report, samples, _ecdf_pack(result.max_sys.ecdf)
+
+
+def _compare_mm(params, n, reps, seed):
+    result, report, samples = _mm_replicate(params, n, reps, seed)
+    maxima = {"sys": result.max_sys, "que": result.max_que}
+    fits = {label: _gumbel_fit(sim.samples) for label, sim in maxima.items()}
+    report["empirical"] = {
+        "mean_max_sys": result.max_sys.mean,
+        "se_max_sys": result.max_sys.se if reps > 1 else None,
+        "mean_max_que": result.max_que.mean,
+        "se_max_que": result.max_que.se if reps > 1 else None,
+        "pooled_mean_que": result.pooled_mean_que,
+        "gumbel_fit_sys": _fit_report(fits["sys"]),
+        "gumbel_fit_que": _fit_report(fits["que"]),
     }
-    samples_rows = [
-        [i, int(result.max_sys.seeds[i]),
-         repr(float(result.max_sys.samples[i])), repr(float(result.max_que.samples[i])),
-         repr(float(result.mean_sys.samples[i])), repr(float(result.mean_que.samples[i])),
-         int(result.customers[i])]
-        for i in range(reps)
-    ]
-    header = ["replication", "seed", "max_sys", "max_que", "mean_sys", "mean_que", "customers"]
-    cdf_rows = [[float(v), float(prob)]
-                for v, prob in zip(result.max_sys.ecdf.values, result.max_sys.ecdf.probabilities)]
-    return report, result, samples_rows, header, cdf_rows
+    report["mean_wait_analytic"] = _mm_mean_waits(params)
+    # the reference law: the analytic one for c = 1, else the Gumbel fit, if any
+    single = params.c == 1
+    report["analytic"] = _mm1_expected_maxima(params, n) if single else None
+    report["ks_reference"] = "analytic" if single else "gumbel_fit"
+    predict = _mm1_cdfs(params, n) if single else {
+        label: fit.cdf if fit else None for label, fit in fits.items()}
+    for label, sim in maxima.items():
+        report[f"ks_distance_{label}"] = (
+            ks_distance(sim.ecdf, predict[label]) if predict[label] else None)
 
-
-def _compare_geo(params, n, reps, seed, threads):
-    analysis = analyze_geo(params)
-    law = max_length_law(analysis, n)
-    sim_report, result, samples_rows, samples_header, _ = _simulate_geo(
-        params, n, reps, seed, threads)
-    fit = gumbel_fit_two_moment(result.samples) if result.samples.std() > 0 else None
-    distance = ks_distance(result.ecdf, law.cdf, lattice=True)
-    report = {
-        "target": "geo",
-        "params": sim_report["params"],
-        "n": n, "reps": reps, "seed": seed,
-        "prng": sim_report["prng"],
-        "analytic": {
-            "omega": analysis.omega,
-            "beta": analysis.beta,
-            "slope": law.slope,
-            "intercept": law.intercept,
-            "expected_max": law.mean(),
-            "mean_queue_length": analysis.mean_queue_length,
-        },
-        "empirical": {
-            "mean_max": result.mean,
-            "se": result.se if reps > 1 else None,
-            "gumbel_fit": {"location": fit.location, "scale": fit.scale} if fit else None,
-        },
-        "ks_distance": distance,
-    }
-    cdf_rows = _geo_cdf_table(law, empirical=result.ecdf)
-    return report, samples_rows, samples_header, cdf_rows, ["k", "predicted", "empirical"]
-
-
-def _compare_mm(params, n, reps, seed, threads):
-    sim_report, result, samples_rows, samples_header, _ = _simulate_mm(
-        params, n, reps, seed, threads)
-    report = {
-        "target": "mm",
-        "params": sim_report["params"],
-        "n": n, "reps": reps, "seed": seed,
-        "prng": sim_report["prng"],
-        "empirical": {
-            "mean_max_sys": result.max_sys.mean,
-            "se_max_sys": result.max_sys.se if reps > 1 else None,
-            "mean_max_que": result.max_que.mean,
-            "se_max_que": result.max_que.se if reps > 1 else None,
-            "pooled_mean_que": result.pooled_mean_que,
-        },
-        "mean_wait_analytic": {"queue": mean_wait(params, "queue"),
-                               "system": mean_wait(params, "system")},
-    }
-    fits = {}
-    for label, sim in (("sys", result.max_sys), ("que", result.max_que)):
-        fits[label] = gumbel_fit_two_moment(sim.samples) if sim.samples.std() > 0 else None
-    report["empirical"]["gumbel_fit_sys"] = (
-        {"location": fits["sys"].location, "scale": fits["sys"].scale} if fits["sys"] else None)
-    report["empirical"]["gumbel_fit_que"] = (
-        {"location": fits["que"].location, "scale": fits["que"].scale} if fits["que"] else None)
-
-    if params.c == 1:
-        report["analytic"] = {
-            "expected_max_sys": expected_max_wait_mm1(params, "system", n),
-            "expected_max_que": expected_max_wait_mm1(params, "queue", n),
-        }
-        report["ks_reference"] = "analytic"
-        ks_sys = ks_distance(result.max_sys.ecdf,
-                             lambda y: max_wait_cdf_mm1(params, "system", n, y))
-        ks_que = ks_distance(result.max_que.ecdf,
-                             lambda y: max_wait_cdf_mm1(params, "queue", n, y))
-        predict_sys = lambda y: max_wait_cdf_mm1(params, "system", n, y)
-        predict_que = lambda y: max_wait_cdf_mm1(params, "queue", n, y)
-    else:
-        report["analytic"] = None
-        report["ks_reference"] = "gumbel_fit"
-        ks_sys = ks_distance(result.max_sys.ecdf, fits["sys"].cdf) if fits["sys"] else None
-        ks_que = ks_distance(result.max_que.ecdf, fits["que"].cdf) if fits["que"] else None
-        predict_sys = fits["sys"].cdf if fits["sys"] else (lambda y: float("nan"))
-        predict_que = fits["que"].cdf if fits["que"] else (lambda y: float("nan"))
-    report["ks_distance_sys"] = ks_sys
-    report["ks_distance_que"] = ks_que
-
-    lo = 0.0
     hi = float(max(result.max_sys.samples.max(), result.max_que.samples.max())) * 1.05
-    grid = np.linspace(lo, max(hi, 1.0), CDF_POINTS)
-    cdf_rows = [[float(y),
-                 float(predict_sys(float(y))), float(result.max_sys.ecdf.evaluate(y)),
-                 float(predict_que(float(y))), float(result.max_que.ecdf.evaluate(y))]
-                for y in grid]
+    grid = np.linspace(0.0, max(hi, 1.0), CDF_POINTS)
+    columns = [grid.tolist()]
+    for label, sim in maxima.items():
+        cdf = predict[label]
+        columns.append([float(cdf(y)) if cdf else nan for y in columns[0]])
+        columns.append(sim.ecdf.evaluate(grid).tolist())
     header = ["y", "predicted_sys", "empirical_sys", "predicted_que", "empirical_que"]
-    return report, samples_rows, samples_header, cdf_rows, header
+    return report, samples, (header, list(zip(*columns)))
+
+
+_BUILDERS = {
+    ("analyze", "geo"): _analyze_geo, ("analyze", "mm"): _analyze_mm,
+    ("simulate", "geo"): _simulate_geo, ("simulate", "mm"): _simulate_mm,
+    ("compare", "geo"): _compare_geo, ("compare", "mm"): _compare_mm,
+}
 
 
 # ---------------------------------------------------------------- file output
@@ -368,14 +383,9 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _csv_text(header, rows) -> str:
-    def cell(value):
-        text = value if isinstance(value, str) else repr(value) if isinstance(value, float) else str(value)
-        if any(ch in text for ch in ",\"\n"):
-            text = '"' + text.replace('"', '""') + '"'
-        return text
-
+    """Every cell is an int, a float or a header name, so none needs quoting."""
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -387,14 +397,10 @@ def _write_outputs(out_dir: Path, fmt: str, report, manifest,
         _atomic_write(out_dir / "summary.json", json.dumps(report, indent=2) + "\n")
         written.append("summary.json")
     if fmt in ("csv", "both"):
-        if samples is not None:
-            header, rows = samples
-            _atomic_write(out_dir / "samples.csv", _csv_text(header, rows))
-            written.append("samples.csv")
-        if cdf is not None:
-            header, rows = cdf
-            _atomic_write(out_dir / "cdf.csv", _csv_text(header, rows))
-            written.append("cdf.csv")
+        for name, pack in (("samples.csv", samples), ("cdf.csv", cdf)):
+            if pack is not None:
+                _atomic_write(out_dir / name, _csv_text(*pack))
+                written.append(name)
     manifest = dict(manifest, outputs=written + ["manifest.json"])
     _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     written.append("manifest.json")
@@ -404,9 +410,6 @@ def _write_outputs(out_dir: Path, fmt: str, report, manifest,
 def _manifest(args, argv, seed, duration) -> dict:
     params = {key: getattr(args, key) for key in ("p", "r", "lam", "mu", "c", "n")
               if getattr(args, key, None) is not None}
-    prng = {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION}
-    if args.target == "mm":
-        prng["exponentials"] = EXPONENTIAL_METHOD
     return {
         "command_line": argv,
         "command": args.command,
@@ -414,17 +417,16 @@ def _manifest(args, argv, seed, duration) -> dict:
         "parameters": params,
         "reps": getattr(args, "reps", None),
         "master_seed": seed,
-        "prng": prng,
+        "prng": _prng(args.target),
         "version": __version__,
         "duration_seconds": duration,
     }
 
 
 def _print_headline(report) -> None:
-    skip = {"prng", "params"}
-    flat = {k: v for k, v in report.items() if not isinstance(v, (dict, list)) and k not in skip}
-    for key, value in flat.items():
-        print(f"{key}: {value}")
+    for key, value in report.items():
+        if not isinstance(value, (dict, list)):
+            print(f"{key}: {value}")
 
 
 # ---------------------------------------------------------------- entry points
@@ -434,41 +436,10 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
 
-    seed = _resolve_seed(args) if hasattr(args, "seed") else None
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        raise RangeError(f"--threads must be at least 1, got {threads}")
-
-    samples_pack = None
-    cdf_pack = None
-    if args.command == "analyze":
-        if args.target == "geo":
-            report, cdf_rows, cdf_header = _analyze_geo_report(_geo_params(args), _geo_horizon(args))
-        else:
-            report, cdf_rows, cdf_header = _analyze_mm_report(_mm_params(args), float(args.n))
-        cdf_pack = (cdf_header, cdf_rows) if cdf_rows else None
-    elif args.command == "simulate":
-        if getattr(args, "reps", 1) < 1:
-            raise RangeError(f"--reps must be at least 1, got {args.reps}")
-        if args.target == "geo":
-            report, _, rows, header, cdf_rows = _simulate_geo(
-                _geo_params(args), _geo_horizon(args), args.reps, seed, threads)
-        else:
-            report, _, rows, header, cdf_rows = _simulate_mm(
-                _mm_params(args), float(args.n), args.reps, seed, threads)
-        samples_pack = (header, rows)
-        cdf_pack = (["value", "empirical"], cdf_rows)
-    else:  # compare
-        if getattr(args, "reps", 1) < 1:
-            raise RangeError(f"--reps must be at least 1, got {args.reps}")
-        if args.target == "geo":
-            report, rows, header, cdf_rows, cdf_header = _compare_geo(
-                _geo_params(args), _geo_horizon(args), args.reps, seed, threads)
-        else:
-            report, rows, header, cdf_rows, cdf_header = _compare_mm(
-                _mm_params(args), float(args.n), args.reps, seed, threads)
-        samples_pack = (header, rows)
-        cdf_pack = (cdf_header, cdf_rows)
+    seed = getattr(args, "seed", None)
+    params, n = _INPUTS[args.target](args)
+    report, samples_pack, cdf_pack = _BUILDERS[args.command, args.target](
+        params, n, getattr(args, "reps", None), seed)
 
     duration = time.perf_counter() - started
     manifest = _manifest(args, list(argv), seed, duration)
@@ -488,16 +459,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         return run(argv)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except QueueMaxError as exc:
+    except QueueMaxError as exc:  # the rest are validation errors: range, stability, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import exp, log, sqrt
-from typing import Optional
+from math import exp, log
 
 import numpy as np
 
-from .errors import DegenerateRootsError, HeuristicRangeWarning, RangeError, UnsupportedError
+from .errors import DegenerateRootsError, HeuristicRangeWarning, RangeError
 from .numerics import Polynomial, fixed_point_root, polynomial_roots, solve_linear_system
 from .params import GeoParams, increment_distribution
 from .stats import EULER_GAMMA
@@ -65,6 +64,11 @@ class GeoAnalysis:
     pi_c: float
     nu: NuRecord
     beta: float
+    """Clump rate pi_c (1 - nu0) / omega^(c-1) of the maximum law.
+
+    1/(1 - nu0) is the expected number of visits to a high level per clump,
+    and pi_k n / E(visits) with the geometric tail gives beta * n * omega^k.
+    """
 
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:
@@ -103,32 +107,6 @@ def decay_rate_omega(params: GeoParams) -> float:
     return fixed_point_root(gap, OMEGA_BRACKET_DELTA, 1.0 - OMEGA_BRACKET_DELTA, OMEGA_TOL)
 
 
-def decay_rate_omega_closed_form(params: GeoParams) -> Optional[float]:
-    """Closed-form cubic solution for the three-server decay rate.
-
-    Cross-check only. Returns None when the radicand 4(3q-r)^3 r^3 + chi^2 is
-    negative (real cube-root arithmetic then no longer applies and the
-    bisection path is authoritative).
-    """
-    if params.c != 3:
-        raise UnsupportedError("closed form exists only for c = 3")
-    p, q, r, s = params.p, params.q, params.r, params.s
-    chi = -9.0 * q * r**2 + 2.0 * r**3 - 27.0 * q**2 * s
-    radicand = 4.0 * (3.0 * q - r) ** 3 * r**3 + chi**2
-    if radicand < 0.0:
-        return None
-    theta = sqrt(radicand)
-    if chi + theta <= 0.0:
-        return None
-
-    def cbrt(x: float) -> float:
-        return x ** (1.0 / 3.0) if x >= 0.0 else -((-x) ** (1.0 / 3.0))
-
-    return ((-3.0 + 2.0 * r + 3.0 * p * s)
-            + (3.0 * q - r) * r * cbrt(2.0 / (chi + theta))
-            - cbrt((chi + theta) / 2.0)) / (3.0 * q * r)
-
-
 def _stationary_from_omega(params: GeoParams, omega: float):
     """Boundary masses and pi_c by back-substituting the balance equations
     of columns c..1 against the geometric tail pi_j = omega^(j-c) pi_c."""
@@ -152,12 +130,6 @@ def _stationary_from_omega(params: GeoParams, omega: float):
 def stationary_distribution(params: GeoParams):
     """(pi_0..pi_{c-1}, pi_c); states beyond c carry mass omega^(j-c) * pi_c."""
     return _stationary_from_omega(params, decay_rate_omega(params))
-
-
-def _step_probabilities(params: GeoParams):
-    """alpha[-c..1] of the fully-busy walk as a dict keyed by increment."""
-    pmf = increment_distribution(params, params.c)
-    return {int(k): float(v) for k, v in zip(pmf.support, pmf.probabilities)}
 
 
 def _divide_out_root_at_one(coeffs: np.ndarray) -> np.ndarray:
@@ -184,7 +156,8 @@ def hitting_probabilities(params: GeoParams) -> NuRecord:
     solved over the complex field with imaginary parts required to vanish.
     """
     c = params.c
-    alpha = _step_probabilities(params)
+    pmf = increment_distribution(params, c)  # alpha[-c..1] of the fully-busy walk
+    alpha = dict(zip(pmf.support.tolist(), pmf.probabilities.tolist()))
     a_up, a_zero = alpha[1], alpha[0]
 
     # ascent denominator: sum_m alpha_{-m} z^{c-m} - (1-alpha_0) z^c + alpha_1 z^{c+1}
@@ -252,15 +225,6 @@ def hitting_probabilities(params: GeoParams) -> NuRecord:
 
     real = [settle(float(v)) for v in solution.real]
     return NuRecord(real[0], real[1], tuple(real[2:]))
-
-
-def clump_rate(analysis: GeoAnalysis) -> float:
-    """Rate constant beta = pi_c (1 - nu0) / omega^(c-1) of the maximum law.
-
-    1/(1 - nu0) is the expected number of visits to a high level per clump,
-    and pi_k n / E(visits) with the geometric tail gives beta * n * omega^k.
-    """
-    return analysis.pi_c * (1.0 - analysis.nu.nu0) / analysis.omega ** (analysis.params.c - 1)
 
 
 def analyze_geo(params: GeoParams) -> GeoAnalysis:

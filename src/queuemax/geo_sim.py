@@ -9,8 +9,8 @@ completions among the first k servers (C[0] = 0), the queue length moves as
 A busy server can only finish a customer who is there, so u never drops
 below zero, and an arrival into an empty queue starts service the next slot.
 PCG64 hands out its doubles in the same order however the draws are split,
-so BLOCK, the replication chunks and the thread count leave every sample
-unchanged: a run is fixed by its seeds alone.
+so BLOCK and the replication chunks leave every sample unchanged: a run is
+fixed by its seeds alone.
 
 Two paths consume that stream. `_run_single` steps one trajectory slot by
 slot in Python; it also collects the batch sums of `time_average_queue_length`,
@@ -34,7 +34,6 @@ them to recorded samples and to a plain per-slot reference.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 
@@ -45,7 +44,7 @@ from .params import GeoParams
 from .replication import SimResult, make_sim_result, substream_seed
 
 BLOCK = 512        # slots per generator call (performance only: the stream does not depend on it)
-REP_CHUNK = 4096   # replications processed per vectorized sweep (performance only)
+REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
 DRAW_CHUNK = 64    # replications drawn and thresholded together (performance only)
 STATE_CAP = 2**30  # tripwire: maxima are O(ln n), so this can only mean a bug
 
@@ -221,27 +220,16 @@ def time_average_queue_length(params: GeoParams, n: int, seed: int,
     return float(means.mean()), float(means.std(ddof=1) / sqrt(batches))
 
 
-def replicate_max_length(config: GeoSimConfig, threads: int = 1) -> SimResult:
+def replicate_max_length(config: GeoSimConfig) -> SimResult:
     """Independent maxima, one per replication, with deterministic substreams.
 
     The sample multiset depends only on (params, n, reps, seed): substreams
-    are derived per replication index, so chunking and thread count are
-    performance knobs with no effect on the result.
+    are derived per replication index, and REP_CHUNK, which bounds the
+    increment table's memory, has no effect on the result.
     """
     seeds = [substream_seed(config.seed, i) for i in range(config.reps)]
     samples = np.empty(config.reps, dtype=np.int64)
-    spans = [(lo, min(lo + REP_CHUNK, config.reps))
-             for lo in range(0, config.reps, REP_CHUNK)]
-
-    def run_span(span):
-        lo, hi = span
-        gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds[lo:hi]]
-        samples[lo:hi] = _run_many(config.params, config.n, gens)
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_span, spans))
-    else:
-        for span in spans:
-            run_span(span)
+    for lo in range(0, config.reps, REP_CHUNK):
+        gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds[lo:lo + REP_CHUNK]]
+        samples[lo:lo + REP_CHUNK] = _run_many(config.params, config.n, gens)
     return make_sim_result(samples, seeds)

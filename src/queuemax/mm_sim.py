@@ -9,7 +9,6 @@ per customer.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,22 +106,18 @@ def simulate_wait_detail(params: MMParams, n: float, seed: int) -> WaitDetail:
     return WaitDetail(arrivals, starts, services, wait_que, wait_sys)
 
 
-def _maxima_from_detail(detail: WaitDetail) -> WaitMaxima:
-    count = detail.arrivals.size
-    if count == 0:
+def simulate_wait_maxima(params: MMParams, n: float, seed: int) -> WaitMaxima:
+    """Maxima and means of both waits over one run (all zero for an empty run)."""
+    detail = simulate_wait_detail(params, n, seed)
+    if detail.arrivals.size == 0:
         return WaitMaxima(0.0, 0.0, 0.0, 0.0, 0)
     return WaitMaxima(
         max_sys=float(detail.wait_sys.max()),
         max_que=float(detail.wait_que.max()),
         mean_sys=float(detail.wait_sys.mean()),
         mean_que=float(detail.wait_que.mean()),
-        customers=count,
+        customers=detail.arrivals.size,
     )
-
-
-def simulate_wait_maxima(params: MMParams, n: float, seed: int) -> WaitMaxima:
-    """Maxima and means of both waits over one run (all zero for an empty run)."""
-    return _maxima_from_detail(simulate_wait_detail(params, n, seed))
 
 
 @dataclass(frozen=True)
@@ -142,24 +137,16 @@ class WaitSimResult:
     pooled_mean_que: float
 
 
-def replicate_wait_maxima(config: MMSimConfig, threads: int = 1) -> WaitSimResult:
+def replicate_wait_maxima(config: MMSimConfig) -> WaitSimResult:
     """Independent runs with deterministic substream seeding, aggregated."""
     reps = config.reps
     seeds = [substream_seed(config.seed, i) for i in range(reps)]
     table = np.zeros((reps, 4))
     counts = np.zeros(reps, dtype=np.int64)
-
-    def run(i: int) -> None:
-        maxima = simulate_wait_maxima(config.params, config.n, seeds[i])
+    for i, seed in enumerate(seeds):
+        maxima = simulate_wait_maxima(config.params, config.n, seed)
         table[i] = (maxima.max_sys, maxima.max_que, maxima.mean_sys, maxima.mean_que)
         counts[i] = maxima.customers
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(reps)))
-    else:
-        for i in range(reps):
-            run(i)
 
     total = int(counts.sum())
     pooled_sys = float(np.dot(table[:, 2], counts) / total) if total else 0.0

@@ -2,16 +2,18 @@
 
 Deliberately built on different machinery than the library paths they check:
 dense numpy linear algebra for stationary vectors, direct Monte Carlo for
-hitting probabilities, scan+bisection for real polynomial roots, and for the
-continuous queue a truncated birth-death chain plus Little's law.
+hitting probabilities, Cardano's formula for the three-server decay rate,
+scan+bisection for real polynomial roots, and for the continuous queue a
+truncated birth-death chain plus Little's law.
 """
 from __future__ import annotations
 
 from math import sqrt
+from typing import Optional
 
 import numpy as np
 
-from queuemax import GeoParams, increment_distribution
+from queuemax import GeoParams, UnsupportedError, increment_distribution
 
 
 def truncated_transition_matrix(params: GeoParams, size: int) -> np.ndarray:
@@ -34,6 +36,33 @@ def truncated_stationary_vector(params: GeoParams, size: int = 401) -> np.ndarra
     rhs = np.zeros(size)
     rhs[-1] = 1.0
     return np.linalg.solve(system, rhs)
+
+
+def decay_rate_omega_closed_form(params: GeoParams) -> Optional[float]:
+    """Closed-form cubic solution for the three-server decay rate.
+
+    Cardano's formula, an independent check on the bisection of
+    `decay_rate_omega`. Returns None when the radicand 4(3q-r)^3 r^3 + chi^2 is
+    negative (real cube-root arithmetic then no longer applies and the
+    bisection path is authoritative).
+    """
+    if params.c != 3:
+        raise UnsupportedError("closed form exists only for c = 3")
+    p, q, r, s = params.p, params.q, params.r, params.s
+    chi = -9.0 * q * r**2 + 2.0 * r**3 - 27.0 * q**2 * s
+    radicand = 4.0 * (3.0 * q - r) ** 3 * r**3 + chi**2
+    if radicand < 0.0:
+        return None
+    theta = sqrt(radicand)
+    if chi + theta <= 0.0:
+        return None
+
+    def cbrt(x: float) -> float:
+        return x ** (1.0 / 3.0) if x >= 0.0 else -((-x) ** (1.0 / 3.0))
+
+    return ((-3.0 + 2.0 * r + 3.0 * p * s)
+            + (3.0 * q - r) * r * cbrt(2.0 / (chi + theta))
+            - cbrt((chi + theta) / 2.0)) / (3.0 * q * r)
 
 
 def mc_hitting_probability(params: GeoParams, start: int, walks: int, seed: int,

@@ -8,8 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from queuemax import summarize
-from queuemax.cli import _atomic_write, main, parse_number
+from queuemax import ECDF, MaxLengthLaw, summarize
+from queuemax.cli import CDF_PROB_FLOOR, _atomic_write, _geo_cdf_table, main, parse_number
 
 
 def read_json(path):
@@ -113,6 +113,42 @@ class TestAnalyze:
               "--n", "1000", "--out", str(out)])
         leftovers = [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
         assert leftovers == []
+
+
+def scanned_cdf_table(law):
+    """The CDF table row by row: from the first k >= servers whose CDF reaches
+    the floor, up to and including the first whose CDF reaches 1 - floor."""
+    k = law.servers
+    while law.cdf(k) < CDF_PROB_FLOOR:
+        k += 1
+    rows = [(k, law.cdf(k))]
+    while rows[-1][1] < 1.0 - CDF_PROB_FLOOR:
+        k += 1
+        rows.append((k, law.cdf(k)))
+    return rows
+
+
+class TestGeoCdfTable:
+    @pytest.mark.parametrize("omega,beta,n,servers", [
+        (0.5744080010, 0.07, 1e4, 3),
+        (0.5, 1.0, 1e5, 1),
+        (0.9, 0.01, 1e5, 2),
+        (0.999, 0.3, 1e6, 1),        # heavy traffic: about 24000 rows
+        (1.0 - 1e-12, 1e-15, 1e5, 1),  # omega at the end of its bracket: one row
+        (0.5, 5e-324, 1.0, 1),        # beta at the bottom of the doubles
+        (1e-300, 1e300, 1e5, 3),
+        (0.5, 1326.28901356457, 1.0, 1),  # the log estimate of the first row is one too high
+    ])
+    def test_matches_row_by_row_scan(self, omega, beta, n, servers):
+        law = MaxLengthLaw(omega, beta, n, servers)
+        assert _geo_cdf_table(law) == scanned_cdf_table(law)
+
+    def test_empirical_column(self):
+        law = MaxLengthLaw(0.5, 1.0, 1e3, 1)
+        ecdf = ECDF.from_samples([9, 10, 10, 12])
+        rows = _geo_cdf_table(law, empirical=ecdf)
+        assert [row[:2] for row in rows] == scanned_cdf_table(law)
+        assert [row[2] for row in rows] == [ecdf.evaluate(row[0]) for row in rows]
 
 
 class TestAtomicWrite:
@@ -228,13 +264,11 @@ class TestSimulate:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["manifest.json", "summary.json"]
 
-    def test_threads_do_not_change_results(self, tmp_path, capsys):
-        base = ["simulate", "geo", "--p", "1/3", "--r", "1/6", "--c", "3",
-                "--n", "300", "--reps", "40", "--seed", "9"]
-        one, four = tmp_path / "t1", tmp_path / "t4"
-        assert main(base + ["--threads", "1", "--out", str(one)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(four)]) == 0
-        assert (one / "samples.csv").read_bytes() == (four / "samples.csv").read_bytes()
+    def test_threads_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "geo", "--p", "1/3", "--r", "1/6", "--c", "3",
+                  "--n", "300", "--reps", "40", "--threads", "2"])
+        assert info.value.code == 2
 
 
 class TestCompare:
@@ -290,6 +324,14 @@ class TestExitCodes:
 
     def test_validation_is_two(self, capsys):
         assert main(["analyze", "mm", "--lambda", "2", "--mu", "0.5", "--c", "1"]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("target", [["geo", "--p", "0.2", "--r", "0.3"],
+                                        ["mm", "--lambda", "0.2", "--mu", "0.3"]])
+    def test_zero_reps_is_two(self, command, target, tmp_path, capsys):
+        code = main([command, *target, "--n", "50", "--reps", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "replication" in capsys.readouterr().err
 
     def test_io_failure_is_four(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

