@@ -26,8 +26,7 @@ from .mm_sim import (MMSimConfig, WaitDetail, WaitMaxima, WaitSimResult,
                      simulate_wait_detail, simulate_wait_maxima)
 from .numerics import (ComplexRootSet, Polynomial, fixed_point_root,
                        polynomial_roots, solve_linear_system)
-from .params import (GeoParams, IncrementPMF, increment_distribution,
-                     transition_probability, validate_geo_params)
+from .params import GeoParams, IncrementPMF, increment_distribution, validate_geo_params
 from .replication import (PRNG_ALGORITHM, SEED_DERIVATION, SimResult,
                           substream_generator, substream_seed)
 from .stats import (ECDF, EULER_GAMMA, GumbelParams, SampleSummary,
@@ -41,7 +40,6 @@ __all__ = [
     "DegenerateSampleError", "HeuristicRangeWarning",
     # discrete-queue parameters and increments
     "GeoParams", "IncrementPMF", "validate_geo_params", "increment_distribution",
-    "transition_probability",
     # numeric kernels
     "Polynomial", "ComplexRootSet", "polynomial_roots", "solve_linear_system",
     "fixed_point_root",

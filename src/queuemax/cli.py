@@ -35,7 +35,7 @@ from .geo_analysis import analyze_geo, expected_max_length, max_length_law
 from .geo_analysis import mean_queue_length  # noqa: F401
 from .geo_sim import GeoSimConfig, replicate_max_length
 from .mm_analysis import (expected_max_wait_mm1, max_wait_cdf_mm1, mean_wait,
-                          validate_mm_params)
+                          mm1_asymptotics, validate_mm_params)
 from .mm_sim import EXPONENTIAL_METHOD, MMSimConfig, replicate_wait_maxima
 from .params import validate_geo_params
 from .replication import PRNG_ALGORITHM, SEED_DERIVATION
@@ -237,14 +237,15 @@ def _simulate_geo(params, n, reps, seed):
 
 
 def _compare_geo(params, n, reps, seed):
-    result, report, samples = _geo_replicate(params, n, reps, seed)
     analysis, law = _geo_law(params, n)
+    expected_max = expected_max_length(analysis, n)  # rejects n < 2 before any replication
+    result, report, samples = _geo_replicate(params, n, reps, seed)
     report["analytic"] = {
         "omega": analysis.omega,
         "beta": analysis.beta,
         "slope": law.slope,
         "intercept": law.intercept,
-        "expected_max": law.mean(),
+        "expected_max": expected_max,
         "mean_queue_length": analysis.mean_queue_length,
     }
     report["empirical"] = {
@@ -276,7 +277,7 @@ def _mm1_cdfs(params, n) -> dict:
 
 def _mm_cdf_grid(params, n):
     """y grid covering the single-server maximum-wait law up to its far tail."""
-    asym_rate = params.lam * (1.0 - params.rho_single) ** 2
+    asym_rate = mm1_asymptotics(params, "system").rate_constant
     y_hi = (np.log(asym_rate * n) - np.log(-np.log(1.0 - 1e-6))) / (params.mu - params.lam)
     return np.linspace(0.0, max(y_hi, 1.0), CDF_POINTS)
 
@@ -472,3 +473,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

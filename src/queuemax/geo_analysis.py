@@ -160,21 +160,13 @@ def hitting_probabilities(params: GeoParams) -> NuRecord:
     alpha = dict(zip(pmf.support.tolist(), pmf.probabilities.tolist()))
     a_up, a_zero = alpha[1], alpha[0]
 
-    # ascent denominator: sum_m alpha_{-m} z^{c-m} - (1-alpha_0) z^c + alpha_1 z^{c+1}
-    df = np.zeros(c + 2)
-    for m in range(1, c + 1):
-        df[c - m] += alpha[-m]
-    df[c] -= 1.0 - a_zero
-    df[c + 1] += a_up
+    # ascent denominator z^c (A(z) - 1), A the increment generating function:
+    # sum_m alpha_{-m} z^{c-m} - (1-alpha_0) z^c + alpha_1 z^{c+1}; the descent
+    # one, z (A(1/z) - 1), has the same coefficients in reverse order
+    df = pmf.probabilities.copy()
+    df[c] -= 1.0
     ascent_cubic = Polynomial(_divide_out_root_at_one(df))
-
-    # descent denominator: alpha_1 - (1-alpha_0) z + sum_m alpha_{-m} z^{m+1}
-    dg = np.zeros(c + 2)
-    dg[0] += a_up
-    dg[1] -= 1.0 - a_zero
-    for m in range(1, c + 1):
-        dg[m + 1] += alpha[-m]
-    descent_cubic = Polynomial(_divide_out_root_at_one(dg))
+    descent_cubic = Polynomial(_divide_out_root_at_one(df[::-1]))
 
     ascent_roots = polynomial_roots(ascent_cubic).roots
     interior = [z for z in ascent_roots if abs(z) < 1.0 - INTERIOR_MARGIN]

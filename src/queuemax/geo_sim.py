@@ -12,22 +12,24 @@ PCG64 hands out its doubles in the same order however the draws are split,
 so BLOCK and the replication chunks leave every sample unchanged: a run is
 fixed by its seeds alone.
 
-Two paths consume that stream. `_run_single` steps one trajectory slot by
-slot in Python; it also collects the batch sums of `time_average_queue_length`,
-and at width one a Python loop beats any per-slot numpy call by an order of
-magnitude. `_run_many` vectorizes the replications of `replicate_max_length`
-over one block of slots at a time: each generator fills one reused row of
-uniforms, which is thresholded at once into the int8 hit indicators of a
-chunk of DRAW_CHUNK replications. Scratch is sized to the block and the
-chunk, never to the horizon.
+One decoder, `_draw_increments`, reads that stream for every path. Over one
+block of slots at a time, each generator fills one reused row of uniforms,
+which is thresholded at once into the hit indicators of a chunk of
+DRAW_CHUNK replications and turned in place into the increment table
+inc[k] = a - C[k], k = 0..c, as c+1 int8 per slot. Scratch is sized to the
+block and the chunk, never to the horizon. Every kernel reads the table:
 
-- c = 1 needs no time loop. The recursion reads u_t = max(u_{t-1} + a_t - d_t,
-  a_t) (Lindley 1952), so with S = cumsum(a - d) over a block,
-  u = S + max(u_0, maximum.accumulate(a - S)); u is carried across blocks.
-- c >= 2 keeps one slot loop over all replications. The hits become the
-  increment table inc[k] = a - C[k], k = 0..c, stored time-major with one
-  word of c+1 increments per replication, so each slot is a single gather
-  at index min(u, c) + word offset.
+- `_run_single` steps one trajectory slot by slot in Python,
+  u += inc[min(u, c)], and takes the maximum and the batch sums of
+  `time_average_queue_length` from each block's path; at width one a Python
+  loop beats any per-slot numpy call by an order of magnitude.
+- `_run_many` vectorizes the replications of `replicate_max_length`. At c = 1
+  it needs no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t,
+  a_t) (Lindley 1952), so with S = cumsum(a - d) = cumsum(inc[1]) over a
+  block, u = S + max(u_0, maximum.accumulate(a - S)); u is carried across
+  blocks. At c >= 2 it keeps one slot loop over all replications, with the
+  table transposed time-major, one (c+1)-byte word per replication, so each
+  slot is a single gather at index min(u, c) + word offset.
 
 All paths give identical maxima for a seed; `tests/test_geo_stream.py` pins
 them to recorded samples and to a plain per-slot reference.
@@ -72,50 +74,14 @@ class GeoSimConfig:
             raise RangeError(f"need at least 1 replication, got {self.reps}")
 
 
-def _run_single(params: GeoParams, n: int, gen: np.random.Generator,
-                batch_edges=None):
-    """One trajectory; returns (max, per-batch sums of u) when batches requested."""
-    p, r, c = params.p, params.r, params.c
-    u = 0
-    peak = 0
-    batch_sums = [] if batch_edges is not None else None
-    acc = 0.0
-    edge_iter = iter(batch_edges[1:]) if batch_edges is not None else None
-    next_edge = next(edge_iter) if edge_iter is not None else None
+def _draw_increments(gens, n: int, params: GeoParams):
+    """Each block of up to BLOCK slots, DRAW_CHUNK generators at a time, decoded.
 
-    step = 0
-    done = 0
-    while done < n:
-        span = min(BLOCK, n - done)
-        uniforms = gen.random((span, c + 1))
-        arrivals = (uniforms[:, 0] < p).tolist()
-        completions = np.cumsum(uniforms[:, 1:] < r, axis=1).tolist()
-        for t in range(span):
-            busy = u if u < c else c
-            u += arrivals[t] - (completions[t][busy - 1] if busy else 0)
-            if u > peak:
-                peak = u
-            if batch_sums is not None:
-                acc += u
-                step += 1
-                if step == next_edge:
-                    batch_sums.append(acc)
-                    acc = 0.0
-                    next_edge = next(edge_iter, None)
-        done += span
-        _check_state(peak)
-    if batch_sums is not None:
-        return peak, batch_sums
-    return peak
-
-
-def _draw_hits(gens, n: int, params: GeoParams):
-    """Each block of up to BLOCK slots, DRAW_CHUNK generators at a time, thresholded.
-
-    Yields (lo, hi, hits) with hits[j - lo, t] = [U_0 < p, U_1 < r, ..., U_c < r]
-    as int8 for the c+1 uniforms U of gens[j] at slot t of the block. Each
-    generator fills one reused row of uniforms, so only the hits of a chunk
-    are held; a yielded array is valid until the next one.
+    Yields (lo, hi, inc) with inc[j - lo, t, k] = a - C[k], k = 0..c, as int8
+    for the c+1 uniforms of gens[j] at slot t of the block. Each generator
+    fills one reused row of uniforms, thresholded at once into the chunk's hit
+    indicators [U_0 < p, U_1 < r, ..., U_c < r]; those become the increments
+    in place. A yielded array is valid until the next one.
     """
     count, c = len(gens), params.c
     span = min(BLOCK, n)
@@ -132,7 +98,32 @@ def _draw_hits(gens, n: int, params: GeoParams):
             for j, out in enumerate(chunk, lo):
                 gens[j].random(out=uniforms)
                 np.less(uniforms, limits, out=out)
-            yield lo, hi, chunk.view(np.int8)
+            inc = chunk.view(np.int8)
+            for k in range(1, c + 1):
+                np.subtract(inc[:, :, k - 1], inc[:, :, k], out=inc[:, :, k])
+            yield lo, hi, inc
+
+
+def _run_single(params: GeoParams, n: int, gen: np.random.Generator, edges):
+    """One trajectory: its maximum and the sums of u over slots (edges[i], edges[i+1]]."""
+    c = params.c
+    u = peak = done = batch = 0
+    sums = [0] * (len(edges) - 1)
+    for _, _, inc in _draw_increments([gen], n, params):
+        path = []
+        for row in inc[0].tolist():
+            u += row[u if u < c else c]
+            path.append(u)
+        peak = max(peak, max(path))
+        _check_state(peak)
+        end = done + len(path)
+        while batch < len(sums) and edges[batch] < end:
+            sums[batch] += sum(path[max(edges[batch] - done, 0):edges[batch + 1] - done])
+            if edges[batch + 1] > end:
+                break
+            batch += 1
+        done = end
+    return peak, sums
 
 
 def _run_many(params: GeoParams, n: int, gens) -> np.ndarray:
@@ -149,12 +140,10 @@ def _lindley_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
     path = np.empty(shape, dtype=np.int32)
     u = np.zeros(count, dtype=np.int32)
     peak = np.zeros(count, dtype=np.int32)
-    for lo, hi, hit in _draw_hits(gens, n, params):
-        m, span = hit.shape[:2]
-        arrivals = hit[:, :, 0]
-        total = np.subtract(arrivals, hit[:, :, 1], out=level[:m, :span])
-        np.cumsum(total, axis=1, out=total)
-        queue = np.subtract(arrivals, total, out=path[:m, :span])
+    for lo, hi, inc in _draw_increments(gens, n, params):
+        m, span = inc.shape[:2]
+        total = np.cumsum(inc[:, :, 1], axis=1, dtype=np.int32, out=level[:m, :span])
+        queue = np.subtract(inc[:, :, 0], total, out=path[:m, :span])
         np.maximum.accumulate(queue, axis=1, out=queue)
         np.maximum(queue, u[lo:hi, None], out=queue)
         queue += total
@@ -169,21 +158,15 @@ def _gather_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
     """c >= 2: one gather per slot from the time-major increment table."""
     c = params.c
     count = len(gens)
-    span = min(BLOCK, n)
-    word = np.dtype(np.uint32)  # one slot's c+1 increments; c <= MAX_SERVERS = 3
-    increments = np.zeros((min(DRAW_CHUNK, count), span, word.itemsize), dtype=np.int8)
-    table = np.empty((span, count * word.itemsize), dtype=np.int8)
+    word = np.dtype((np.void, c + 1))  # one slot's c+1 increments
+    table = np.empty((min(BLOCK, n), count * word.itemsize), dtype=np.int8)
     offsets = np.arange(count) * word.itemsize
     u = np.zeros(count, dtype=np.intp)
     peak = np.zeros(count, dtype=np.intp)
     index = np.empty(count, dtype=np.intp)
     step = np.empty(count, dtype=np.int8)
-    for lo, hi, hit in _draw_hits(gens, n, params):
-        rows = hit.shape[1]
-        inc = increments[:hi - lo, :rows]
-        inc[:, :, 0] = hit[:, :, 0]
-        for k in range(1, c + 1):
-            np.subtract(inc[:, :, k - 1], hit[:, :, k], out=inc[:, :, k])
+    for lo, hi, inc in _draw_increments(gens, n, params):
+        rows = inc.shape[1]
         table.view(word)[:rows, lo:hi] = inc.view(word)[:, :, 0].T
         if hi < count:
             continue
@@ -201,7 +184,8 @@ def simulate_max_length(params: GeoParams, n: int, seed: int) -> int:
     """Maximum queue length observed over an n-step trajectory."""
     if n < 1:
         raise RangeError(f"horizon must be at least 1 step, got {n}")
-    return int(_run_single(params, n, np.random.Generator(np.random.PCG64(seed))))
+    peak, _ = _run_single(params, n, np.random.Generator(np.random.PCG64(seed)), [0, n])
+    return peak
 
 
 def time_average_queue_length(params: GeoParams, n: int, seed: int,
@@ -215,7 +199,7 @@ def time_average_queue_length(params: GeoParams, n: int, seed: int,
         raise RangeError(f"need n >= batches >= 2, got n={n}, batches={batches}")
     edges = [round(i * n / batches) for i in range(batches + 1)]
     gen = np.random.Generator(np.random.PCG64(seed))
-    _, batch_sums = _run_single(params, n, gen, batch_edges=edges)
+    _, batch_sums = _run_single(params, n, gen, edges)
     means = np.asarray(batch_sums) / np.diff(edges)
     return float(means.mean()), float(means.std(ddof=1) / sqrt(batches))
 

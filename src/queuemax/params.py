@@ -130,9 +130,3 @@ def increment_distribution(params: GeoParams, busy: int) -> IncrementPMF:
         probs[i] = acc
     return IncrementPMF(support, probs)
 
-
-def transition_probability(params: GeoParams, state: int, target: int) -> float:
-    """One-step transition probability of the queue-length chain."""
-    if state < 0 or target < 0:
-        raise RangeError("states must be nonnegative")
-    return increment_distribution(params, min(state, params.c)).prob(target - state)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, log, pi, sqrt
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -100,19 +100,17 @@ def gumbel_fit_two_moment(samples) -> GumbelParams:
     return GumbelParams(location, scale)
 
 
-def ks_distance(ecdf: ECDF, cdf: Callable[[float], float],
-                lattice: Optional[bool] = None) -> float:
+def ks_distance(ecdf: ECDF, cdf: Callable[[float], float], lattice: bool = False) -> float:
     """Sup-norm distance between an empirical CDF and a reference CDF.
 
     For continuous references the distance is evaluated at the jump points
-    with both one-sided gaps. With lattice=True (default: automatic when the
-    support is integer-valued) the comparison runs over the integer lattice
-    spanning the support instead, which is the correct sup-norm when the
-    reference is itself the CDF of an integer-valued law.
+    with both one-sided gaps. With lattice=True the comparison runs over the
+    integer lattice spanning the support instead, which is the correct
+    sup-norm when the reference is itself the CDF of an integer-valued law.
+    The caller states which: an integer-valued sample of a continuous law
+    (all-zero wait maxima, say) is still compared at its jump points.
     """
     values = ecdf.values
-    if lattice is None:
-        lattice = bool(np.all(values == np.floor(values)))
     if lattice:
         grid = np.arange(int(np.floor(values[0])) - 1, int(np.floor(values[-1])) + 1)
         ref = np.asarray([float(cdf(k)) for k in grid])

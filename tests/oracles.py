@@ -167,3 +167,25 @@ def geo_max_by_recursion(p: float, r: float, c: int, n: int, gen: np.random.Gene
         u += (row[0] < p) - completions[min(u, c)]
         peak = max(peak, u)
     return peak
+
+
+def nu_minus1_by_ladder_heights(params: GeoParams, omega: float) -> float:
+    """Descent probability nu_{-1} of the fully-busy walk from its ladder heights.
+
+    P(z) = z^c (1 - A(z)), with A the increment generating function, vanishes
+    at z = 1/omega, so it divides by (1 - omega z) into b_0..b_c. Then
+    h_j = [j = 0] - b_{c-j}, j = 0..c, is the law of the weak descending
+    ladder height -j, and h_j / (1 - h_0), j >= 1, that of the first strict
+    descent. A walk started one level up reaches the level when that descent
+    lands on it (j = 1), or j - 1 below it and the walk climbs back j - 1
+    levels, with probability omega^(j-1):
+    nu_{-1} = sum_{j >= 1} h_j omega^(j-1) / (1 - h_0). No root finding, no solve.
+    """
+    c = params.c
+    coeffs = -increment_distribution(params, c).probabilities
+    coeffs[c] += 1.0
+    quotient = []
+    for coeff in coeffs[:c + 1]:
+        quotient.append(coeff + omega * (quotient[-1] if quotient else 0.0))
+    heights = [(1.0 if j == 0 else 0.0) - quotient[c - j] for j in range(c + 1)]
+    return sum(heights[j] * omega ** (j - 1) for j in range(1, c + 1)) / (1.0 - heights[0])

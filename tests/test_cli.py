@@ -1,13 +1,16 @@
 """Command-line surface: reports, file outputs, determinism, exit codes."""
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import queuemax
 from queuemax import ECDF, MaxLengthLaw, summarize
 from queuemax.cli import CDF_PROB_FLOOR, _atomic_write, _geo_cdf_table, main, parse_number
 
@@ -356,3 +359,19 @@ class TestExitCodes:
         code = main(["analyze", "geo", "--p", "0.1", "--r", "0.2", "--c", "3"])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_module_entry_point(self):
+        src = str(Path(queuemax.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "queuemax.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        version = cli("--version")
+        assert version.returncode == 0
+        assert version.stdout.strip() == f"queuemax {queuemax.__version__}"
+        rejected = cli("analyze", "geo", "--p", "1/3", "--r", "1/6", "--c", "3", "--n", "1")
+        assert rejected.returncode == 2
+        assert "n >= 2" in rejected.stderr

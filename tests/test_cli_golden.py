@@ -42,9 +42,10 @@ def _cases():
     yield _heavy_geo(2, 0.2, 0.999)
     yield _heavy_geo(2, 0.2, 0.9999)  # 92788 CDF rows
     yield _heavy_geo(1, 0.1, 0.999)  # omega comes out at the end of its bracket
-    yield ["compare", "geo", *GEO[3], "--n", "1", "--reps", "10"]
+    yield ["compare", "geo", *GEO[3], "--n", "1", "--reps", "10"]  # exit 2, as analyze geo --n 1
     yield ["compare", "geo", *GEO[3], "--n", "300", "--reps", "1"]  # no SE, no Gumbel fit
     yield ["compare", "mm", *MM[2], "--n", "0.001", "--reps", "3"]  # all-zero maxima, no fit
+    yield ["compare", "mm", *MM[1], "--n", "0.001", "--reps", "3"]  # all-zero maxima, c=1 law
 
 
 def _run(argv, out):

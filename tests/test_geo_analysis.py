@@ -10,7 +10,8 @@ from queuemax import (HeuristicRangeWarning, RangeError, UnsupportedError,
                       max_length_cdf, max_length_law, mean_queue_length,
                       stationary_distribution, validate_geo_params)
 from oracles import (decay_rate_omega_closed_form, mc_hitting_probability,
-                     truncated_stationary_vector, truncated_transition_matrix)
+                     nu_minus1_by_ladder_heights, truncated_stationary_vector,
+                     truncated_transition_matrix)
 
 REFERENCE = validate_geo_params(1 / 3, 1 / 6, 3)
 FAST_SINGLE = validate_geo_params(1 / 3, 1 / 2, 1)
@@ -145,6 +146,22 @@ class TestHittingProbabilities:
         nu = hitting_probabilities(FAST_SINGLE)
         assert nu.nu_minus1 == pytest.approx(1.0, abs=1e-10)
         assert nu.nu_up == ()
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_descent_and_return_match_ladder_heights(self, c):
+        # heavy traffic: r = 0.25 and 0.3 avoid the recorded bracket defects at loads 0.999, 0.9999
+        heavy = [(load * c * r, r) for load in (0.999, 0.9999) for r in (0.25, 0.3)]
+        for p, r in sampled_region(c) + heavy:
+            params = validate_geo_params(p, r, c)
+            omega = decay_rate_omega(params)
+            nu = hitting_probabilities(params)
+            assert abs(nu.nu_minus1 - nu_minus1_by_ladder_heights(params, omega)) < 1e-9
+            # first step: stay, step up and descend back, or step down m and climb back
+            pmf = increment_distribution(params, c)
+            alpha = dict(zip(pmf.support.tolist(), pmf.probabilities.tolist()))
+            nu0 = alpha[0] + alpha[1] * nu.nu_minus1 + sum(
+                alpha[-m] * omega**m for m in range(1, c + 1))
+            assert abs(nu.nu0 - nu0) < 1e-9
 
     def test_monte_carlo_descent_oracle(self):
         nu = hitting_probabilities(REFERENCE)

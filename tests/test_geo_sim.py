@@ -53,7 +53,7 @@ class TestDeterminism:
         master = 2718
         config = GeoSimConfig(params, n, 16, master)
         vector = replicate_max_length(config).samples
-        scalar = [int(geo_sim._run_single(params, n, substream_generator(master, i)))
+        scalar = [geo_sim._run_single(params, n, substream_generator(master, i), [0, n])[0]
                   for i in range(16)]
         assert vector.tolist() == scalar
 
@@ -67,7 +67,8 @@ class TestDeterminism:
                     patch.setattr(geo_sim, "DRAW_CHUNK", 3)
                     patch.setattr(geo_sim, "REP_CHUNK", 7)
                     chunked = replicate_max_length(config).samples
-                    scalar = geo_sim._run_single(params, 800, substream_generator(5, 49))
+                    gen = substream_generator(5, 49)
+                    scalar, _ = geo_sim._run_single(params, 800, gen, [0, 800])
                 assert np.array_equal(reference_samples, chunked)
                 assert scalar == reference_samples[49]
 

@@ -94,7 +94,7 @@ class TestGumbelFit:
 class TestKSDistance:
     def test_self_distance_is_zero_on_lattice(self):
         ecdf = ECDF.from_samples([1, 2, 2, 5])
-        assert ks_distance(ecdf, ecdf.evaluate) == 0.0
+        assert ks_distance(ecdf, ecdf.evaluate, lattice=True) == 0.0
 
     def test_single_point_formula(self):
         x0 = 1.3  # non-integer: continuous-reference convention applies
@@ -125,7 +125,7 @@ class TestKSDistance:
                 return 0.5
             return 1.0 if k >= 4 else 0.5
 
-        assert ks_distance(ecdf, reference) == pytest.approx(0.5, rel=1e-12)
+        assert ks_distance(ecdf, reference, lattice=True) == pytest.approx(0.5, rel=1e-12)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(12)
