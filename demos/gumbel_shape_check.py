@@ -6,7 +6,7 @@ law by matching two moments and reports the KS distance between the fitted
 CDF and the empirical one. The match is close but this is a descriptive
 check, not a test — the parameters come from the same data.
 
-Run:  python demos/gumbel_shape_check.py   (about a minute)
+Run:  python demos/gumbel_shape_check.py   (about ten seconds)
 """
 from queuemax import (MMSimConfig, gumbel_fit_two_moment, ks_distance,
                       replicate_wait_maxima, validate_mm_params)

@@ -6,7 +6,7 @@ split: splitting one fast server into c slow ones (lambda = 1/3, mu = 1/(2c))
 makes the worst-case *system* wait worse while making the worst-case *queue*
 wait better — and the same direction holds for plain average queue waits.
 
-Run:  python demos/wait_time_extremes.py   (about half a minute)
+Run:  python demos/wait_time_extremes.py   (about five seconds)
 """
 from queuemax import (MMSimConfig, expected_max_wait_mm1, mean_wait,
                       replicate_wait_maxima, validate_mm_params)

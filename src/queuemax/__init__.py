@@ -21,9 +21,8 @@ from .geo_sim import (GeoSimConfig, replicate_max_length, simulate_max_length,
 from .mm_analysis import (MM1Asymptotics, MMParams, expected_max_wait_mm1,
                           max_wait_cdf_mm1, mean_wait, mm1_asymptotics,
                           validate_mm_params)
-from .mm_sim import (MMSimConfig, WaitDetail, WaitMaxima, WaitSimResult,
-                     assign_service_starts, replicate_wait_maxima,
-                     simulate_wait_detail, simulate_wait_maxima)
+from .mm_sim import (MMSimConfig, WaitDetail, WaitSimResult, assign_service_starts,
+                     replicate_wait_maxima, simulate_wait_detail)
 from .numerics import (ComplexRootSet, Polynomial, fixed_point_root,
                        polynomial_roots, solve_linear_system)
 from .params import GeoParams, IncrementPMF, increment_distribution, validate_geo_params
@@ -54,9 +53,8 @@ __all__ = [
     "MMParams", "MM1Asymptotics", "validate_mm_params", "mm1_asymptotics",
     "max_wait_cdf_mm1", "expected_max_wait_mm1", "mean_wait",
     # continuous-queue simulator
-    "MMSimConfig", "WaitMaxima", "WaitDetail", "WaitSimResult",
-    "assign_service_starts", "simulate_wait_detail", "simulate_wait_maxima",
-    "replicate_wait_maxima",
+    "MMSimConfig", "WaitDetail", "WaitSimResult", "assign_service_starts",
+    "simulate_wait_detail", "replicate_wait_maxima",
     # replication plumbing
     "SimResult", "substream_seed", "substream_generator",
     "PRNG_ALGORITHM", "SEED_DERIVATION",

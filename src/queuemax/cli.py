@@ -22,7 +22,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
-from math import ceil, exp, log, nan
+from math import ceil, exp, inf, log, nan
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +111,7 @@ def _geo_inputs(args):
     """Validated parameters and horizon in time steps."""
     _require(args, ("p", "r"))
     params = validate_geo_params(args.p, args.r, args.c)
-    if args.n != int(args.n) or args.n < 1:
+    if not 1 <= args.n < inf or args.n != int(args.n):
         raise RangeError(f"--n must be a positive integer of time steps, got {args.n}")
     return params, int(args.n)
 
@@ -119,7 +119,10 @@ def _geo_inputs(args):
 def _mm_inputs(args):
     """Validated parameters and interval length."""
     _require(args, ("lam", "mu"))
-    return validate_mm_params(args.lam, args.mu, args.c), float(args.n)
+    params = validate_mm_params(args.lam, args.mu, args.c)
+    if not 0 < args.n < inf:
+        raise RangeError(f"--n must be a positive, finite interval length, got {args.n}")
+    return params, float(args.n)
 
 
 _INPUTS = {"geo": _geo_inputs, "mm": _mm_inputs}

@@ -2,14 +2,16 @@
 
 One run over [0, n]: a Poisson(lambda*n) customer count, arrival times as a
 sorted uniform sample, inverse-CDF exponential service draws, and FIFO
-assignment to the earliest-free server (lowest index on ties). Waits follow
-from the service start: wait-in-queue = start - arrival, and wait-in-system is
-defined as wait-in-queue + service so the conservation identity holds exactly
-per customer.
+assignment to the earliest-free server. Waits follow from the service start:
+wait-in-queue = start - arrival, and wait-in-system is defined as
+wait-in-queue + service so the conservation identity holds exactly per
+customer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapreplace
+from math import inf
 
 import numpy as np
 
@@ -30,28 +32,10 @@ class MMSimConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.n > 0:
-            raise RangeError(f"interval length must be positive, got {self.n}")
+        if not 0 < self.n < inf:
+            raise RangeError(f"interval length must be positive and finite, got {self.n}")
         if self.reps < 1:
             raise RangeError(f"need at least 1 replication, got {self.reps}")
-
-
-@dataclass(frozen=True)
-class WaitMaxima:
-    """Maxima and means of both wait definitions over one run."""
-
-    max_sys: float
-    max_que: float
-    mean_sys: float
-    mean_que: float
-    customers: int
-
-    def __post_init__(self):
-        if not (self.max_sys >= self.max_que >= 0.0
-                and self.mean_sys >= self.mean_que >= 0.0):
-            raise RangeError("system waits dominate queue waits; check inputs")
-        if self.customers >= 1 and self.max_sys < self.mean_sys:
-            raise RangeError("a maximum cannot be below its mean")
 
 
 @dataclass(frozen=True)
@@ -68,8 +52,12 @@ class WaitDetail:
 def assign_service_starts(arrivals, services, c: int) -> np.ndarray:
     """FIFO service-start times given sorted arrivals and service durations.
 
-    Each customer takes the server that frees earliest (lowest index wins
-    ties) and starts at max(arrival, that server's free time).
+    Each customer takes the server that frees earliest and starts at
+    max(arrival, that server's free time). The free times are kept as a heap:
+    a start depends only on the smallest free time, and the multiset of free
+    times after it does not depend on which of several tied servers was
+    taken, so no tie rule can change a start (the Kiefer-Wolfowitz workload
+    recursion).
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     services = np.asarray(services, dtype=np.float64)
@@ -77,13 +65,12 @@ def assign_service_starts(arrivals, services, c: int) -> np.ndarray:
         raise RangeError("arrivals and services must be congruent 1-d arrays")
     if c < 1:
         raise RangeError(f"need at least one server, got {c}")
-    free = [0.0] * c
+    free = [0.0] * c  # a heap: free[0] is the earliest free time
     starts = np.empty(arrivals.size)
     for i, (arrival, service) in enumerate(zip(arrivals.tolist(), services.tolist())):
-        j = min(range(c), key=free.__getitem__)
-        start = arrival if arrival > free[j] else free[j]
+        start = arrival if arrival > free[0] else free[0]
         starts[i] = start
-        free[j] = start + service
+        heapreplace(free, start + service)
     return starts
 
 
@@ -96,28 +83,14 @@ def _draw_customers(params: MMParams, n: float, gen: np.random.Generator):
 
 def simulate_wait_detail(params: MMParams, n: float, seed: int) -> WaitDetail:
     """One run with full per-customer arrays."""
-    if not n > 0:
-        raise RangeError(f"interval length must be positive, got {n}")
+    if not 0 < n < inf:
+        raise RangeError(f"interval length must be positive and finite, got {n}")
     gen = np.random.Generator(np.random.PCG64(seed))
     arrivals, services = _draw_customers(params, n, gen)
     starts = assign_service_starts(arrivals, services, params.c)
     wait_que = starts - arrivals
     wait_sys = wait_que + services
     return WaitDetail(arrivals, starts, services, wait_que, wait_sys)
-
-
-def simulate_wait_maxima(params: MMParams, n: float, seed: int) -> WaitMaxima:
-    """Maxima and means of both waits over one run (all zero for an empty run)."""
-    detail = simulate_wait_detail(params, n, seed)
-    if detail.arrivals.size == 0:
-        return WaitMaxima(0.0, 0.0, 0.0, 0.0, 0)
-    return WaitMaxima(
-        max_sys=float(detail.wait_sys.max()),
-        max_que=float(detail.wait_que.max()),
-        mean_sys=float(detail.wait_sys.mean()),
-        mean_que=float(detail.wait_que.mean()),
-        customers=detail.arrivals.size,
-    )
 
 
 @dataclass(frozen=True)
@@ -138,25 +111,36 @@ class WaitSimResult:
 
 
 def replicate_wait_maxima(config: MMSimConfig) -> WaitSimResult:
-    """Independent runs with deterministic substream seeding, aggregated."""
+    """Independent runs with deterministic substream seeding, aggregated.
+
+    Each run reduces to one table row (max_sys, max_que, mean_sys, mean_que);
+    an empty run keeps its row of zeros and a customer count of 0.
+    """
     reps = config.reps
     seeds = [substream_seed(config.seed, i) for i in range(reps)]
     table = np.zeros((reps, 4))
     counts = np.zeros(reps, dtype=np.int64)
     for i, seed in enumerate(seeds):
-        maxima = simulate_wait_maxima(config.params, config.n, seed)
-        table[i] = (maxima.max_sys, maxima.max_que, maxima.mean_sys, maxima.mean_que)
-        counts[i] = maxima.customers
+        detail = simulate_wait_detail(config.params, config.n, seed)
+        if detail.arrivals.size:
+            table[i] = (detail.wait_sys.max(), detail.wait_que.max(),
+                        detail.wait_sys.mean(), detail.wait_que.mean())
+            counts[i] = detail.arrivals.size
+    max_sys, max_que, mean_sys, mean_que = table.T
+    if not np.all((max_sys >= max_que) & (max_que >= 0.0) & (mean_sys >= mean_que)
+                  & (mean_que >= 0.0) & (max_sys >= mean_sys)):
+        raise RangeError("system waits dominate queue waits and maxima their means; "
+                         "check inputs")
 
     total = int(counts.sum())
-    pooled_sys = float(np.dot(table[:, 2], counts) / total) if total else 0.0
-    pooled_que = float(np.dot(table[:, 3], counts) / total) if total else 0.0
+    pooled_sys = float(np.dot(mean_sys, counts) / total) if total else 0.0
+    pooled_que = float(np.dot(mean_que, counts) / total) if total else 0.0
     counts.flags.writeable = False
     return WaitSimResult(
-        max_sys=make_sim_result(table[:, 0].copy(), seeds),
-        max_que=make_sim_result(table[:, 1].copy(), seeds),
-        mean_sys=make_sim_result(table[:, 2].copy(), seeds),
-        mean_que=make_sim_result(table[:, 3].copy(), seeds),
+        max_sys=make_sim_result(max_sys.copy(), seeds),
+        max_que=make_sim_result(max_que.copy(), seeds),
+        mean_sys=make_sim_result(mean_sys.copy(), seeds),
+        mean_que=make_sim_result(mean_que.copy(), seeds),
         customers=counts,
         pooled_mean_sys=pooled_sys,
         pooled_mean_que=pooled_que,

@@ -4,7 +4,8 @@ Deliberately built on different machinery than the library paths they check:
 dense numpy linear algebra for stationary vectors, direct Monte Carlo for
 hitting probabilities, Cardano's formula for the three-server decay rate,
 scan+bisection for real polynomial roots, and for the continuous queue a
-truncated birth-death chain plus Little's law.
+truncated birth-death chain plus Little's law and a per-server scan for FIFO
+service starts.
 """
 from __future__ import annotations
 
@@ -150,6 +151,22 @@ def mm_queue_wait_rational(lam: float, mu: float, c: int) -> float:
         3: lambda: lam**3 / ((3.0 * mu - lam) * (lam**2 + 4.0 * lam * mu + 6.0 * mu**2) * mu),
     }
     return forms[c]()
+
+
+def service_starts_by_server_scan(arrivals, services, c: int) -> np.ndarray:
+    """FIFO service starts by scanning all c server free times per customer.
+
+    Each customer takes the lowest-index server among those that free
+    earliest and starts at max(arrival, its free time).
+    """
+    free = [0.0] * c
+    starts = np.empty(len(arrivals))
+    for i, (arrival, service) in enumerate(zip(arrivals, services)):
+        j = min(range(c), key=free.__getitem__)
+        start = arrival if arrival > free[j] else free[j]
+        starts[i] = start
+        free[j] = start + service
+    return starts
 
 
 def geo_max_by_recursion(p: float, r: float, c: int, n: int, gen: np.random.Generator) -> int:

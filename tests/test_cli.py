@@ -336,6 +336,17 @@ class TestExitCodes:
         assert code == 2
         assert "replication" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    @pytest.mark.parametrize("target", [["geo", "--p", "0.2", "--r", "0.3"],
+                                        ["mm", "--lambda", "0.2", "--mu", "0.3"]])
+    @pytest.mark.parametrize("n", ["inf", "nan"])
+    def test_non_finite_horizon_is_two(self, command, target, n, tmp_path, capsys):
+        reps = [] if command == "analyze" else ["--reps", "5"]
+        code = main([command, *target, "--n", n, *reps, "--out", str(tmp_path)])
+        assert code == 2
+        assert "--n must be" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_io_failure_is_four(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

@@ -1,14 +1,18 @@
 """Continuous-time queue simulator: mechanics, conservation, and agreement
 with both the single-server asymptotics and the stationary mean waits."""
-from math import sqrt
+from dataclasses import fields
+from math import inf, nan, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from queuemax import (MMSimConfig, RangeError, assign_service_starts,
+from oracles import service_starts_by_server_scan
+from queuemax import (MMSimConfig, RangeError, WaitDetail, assign_service_starts,
                       expected_max_wait_mm1, mean_wait, replicate_wait_maxima,
-                      simulate_wait_detail, simulate_wait_maxima,
-                      substream_seed, validate_mm_params)
+                      simulate_wait_detail, substream_seed, validate_mm_params)
+from queuemax import mm_sim
 
 SINGLE = validate_mm_params(1 / 3, 1 / 2, 1)
 TWO = validate_mm_params(1 / 3, 1 / 4, 2)
@@ -20,8 +24,8 @@ class TestAssignment:
         starts = assign_service_starts(np.array([4.2]), np.array([1.7]), c=2)
         assert starts.tolist() == [4.2]
 
-    def test_lowest_index_wins_ties(self):
-        # two idle servers, two simultaneous-ish arrivals: both start on time
+    def test_idle_servers_serve_simultaneous_arrivals(self):
+        # two idle servers, two simultaneous arrivals: both start on time
         starts = assign_service_starts(np.array([0.0, 0.0]), np.array([5.0, 5.0]), c=2)
         assert starts.tolist() == [0.0, 0.0]
 
@@ -40,6 +44,19 @@ class TestAssignment:
         with pytest.raises(RangeError):
             assign_service_starts(np.array([0.0]), np.array([1.0]), c=0)
 
+    # integer-valued gaps and services make exact ties among free times common
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.integers(1, 12),
+           pairs=st.one_of(
+               st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=80),
+               st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), max_size=80)))
+    @example(c=3, pairs=[])
+    def test_heap_matches_server_scan(self, c, pairs):
+        table = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+        arrivals, services = np.cumsum(table[:, 0]), table[:, 1]
+        starts = assign_service_starts(arrivals, services, c)
+        assert np.array_equal(starts, service_starts_by_server_scan(arrivals, services, c))
+
 
 class TestSingleRun:
     def test_conservation_exact_per_customer(self):
@@ -51,27 +68,44 @@ class TestSingleRun:
     def test_empty_interval(self):
         # lambda * n tiny: almost every run is empty, and empties report zeros
         tiny = validate_mm_params(1e-9, 1.0, 1)
-        result = simulate_wait_maxima(tiny, 1.0, seed=5)
-        assert result.customers == 0
-        assert (result.max_sys, result.max_que, result.mean_sys, result.mean_que) == (
-            0.0, 0.0, 0.0, 0.0)
+        result = replicate_wait_maxima(MMSimConfig(tiny, 1.0, reps=1, seed=5))
+        assert result.customers.tolist() == [0]
+        for sim in (result.max_sys, result.max_que, result.mean_sys, result.mean_que):
+            assert sim.samples.tolist() == [0.0]
+        assert (result.pooled_mean_sys, result.pooled_mean_que) == (0.0, 0.0)
 
     def test_maxima_dominate_means(self):
-        result = simulate_wait_maxima(TWO, 5000.0, seed=9)
-        assert result.max_sys >= result.max_que >= 0.0
-        assert result.max_sys >= result.mean_sys
-        assert result.mean_sys >= result.mean_que
+        result = replicate_wait_maxima(MMSimConfig(TWO, 5000.0, reps=1, seed=9))
+        (max_sys,), (max_que,) = result.max_sys.samples, result.max_que.samples
+        (mean_sys,), (mean_que,) = result.mean_sys.samples, result.mean_que.samples
+        assert max_sys >= max_que >= 0.0
+        assert max_sys >= mean_sys
+        assert mean_sys >= mean_que
 
     def test_repeatable(self):
-        a = simulate_wait_maxima(THREE, 2000.0, seed=123)
-        b = simulate_wait_maxima(THREE, 2000.0, seed=123)
-        assert a == b
+        a = simulate_wait_detail(THREE, 2000.0, seed=123)
+        b = simulate_wait_detail(THREE, 2000.0, seed=123)
+        for field in fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_interval_validation(self):
-        with pytest.raises(RangeError):
-            simulate_wait_maxima(SINGLE, 0.0, seed=1)
+        for n in (0.0, inf, nan):
+            with pytest.raises(RangeError):
+                simulate_wait_detail(SINGLE, n, seed=1)
+            with pytest.raises(RangeError):
+                MMSimConfig(SINGLE, n, 10, 1)
         with pytest.raises(RangeError):
             MMSimConfig(SINGLE, 100.0, 0, 1)
+
+    def test_inconsistent_waits_rejected(self, monkeypatch):
+        # queue waits above system waits break the check over the whole table
+        def corrupt(params, n, seed):
+            ones = np.ones(3)
+            return WaitDetail(ones, ones, ones, 2.0 * ones, ones)
+
+        monkeypatch.setattr(mm_sim, "simulate_wait_detail", corrupt)
+        with pytest.raises(RangeError):
+            replicate_wait_maxima(MMSimConfig(SINGLE, 10.0, 2, seed=1))
 
 
 class TestReplication:
