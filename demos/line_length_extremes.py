@@ -6,7 +6,7 @@ probabilities, clump rate, and the resulting law of the running maximum —
 then checks it against a quick simulation, and closes with the one-fast-
 versus-three-slow comparison.
 
-Run:  python demos/line_length_extremes.py   (about half a minute)
+Run:  python demos/line_length_extremes.py   (about a second)
 """
 from queuemax import (GeoSimConfig, analyze_geo, expected_max_length,
                       max_length_law, mean_queue_length, replicate_max_length,

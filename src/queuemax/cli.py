@@ -33,7 +33,7 @@ from .errors import (BracketError, ConvergenceError, DegenerateRootsError, Queue
 from .geo_analysis import analyze_geo, expected_max_length, max_length_law
 # not called here; kept as cli.mean_queue_length, which the perfbench tracer wraps and probes call
 from .geo_analysis import mean_queue_length  # noqa: F401
-from .geo_sim import GeoSimConfig, replicate_max_length
+from .geo_sim import INCREMENT_METHOD, GeoSimConfig, replicate_max_length
 from .mm_analysis import (expected_max_wait_mm1, max_wait_cdf_mm1, mean_wait,
                           mm1_asymptotics, validate_mm_params)
 from .mm_sim import EXPONENTIAL_METHOD, MMSimConfig, replicate_wait_maxima
@@ -137,7 +137,9 @@ _INPUTS = {"geo": _geo_inputs, "mm": _mm_inputs}
 
 def _prng(target) -> dict:
     prng = {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION}
-    if target == "mm":
+    if target == "geo":
+        prng["increments"] = INCREMENT_METHOD
+    else:
         prng["exponentials"] = EXPONENTIAL_METHOD
     return prng
 

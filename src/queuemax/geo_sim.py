@@ -1,35 +1,41 @@
 """Simulator for the discrete-time multi-server queue.
 
-Each slot takes c+1 uniforms from the replication's own PCG64 stream: the
-arrival's, then one per server. With a the arrival indicator and C[k] the
-completions among the first k servers (C[0] = 0), the queue length moves as
+Each slot takes one uniform U from the replication's own PCG64 stream. With
+k = min(u, c) busy servers, the queue length moves by the inverse CDF of the
+increment law F_k = `increment_distribution(params, k)` at U:
 
-    u <- u + a - C[min(u, c)]
+    u <- u + inc[k],  inc[k] = F_k^{-1}(U)
 
-A busy server can only finish a customer who is there, so u never drops
-below zero, and an arrival into an empty queue starts service the next slot.
-PCG64 hands out its doubles in the same order however the draws are split,
-so BLOCK and the replication chunks leave every sample unchanged: a run is
-fixed by its seeds alone.
+Each law is read from +1 downward: the step is +1 while U lies below
+P(+1), 0 while it lies below P(+1) + P(0), and so on. So every slot has its
+exact conditional law. Reading all laws from the top also couples them: one
+more busy server lowers the step by 0 or 1, so inc[k] never increases with
+k, and at c = 1 the arrival a = inc[0] keeps 0 <= a - inc[1] <= 1. Rounding
+can push a partial sum of F_k an ulp past one of F_{k-1}; each is clipped
+into the interval the coupling allows, which moves it by at most a few ulps.
 
-One decoder, `_draw_increments`, reads that stream for every path. Over one
-block of slots at a time, each generator fills one reused row of uniforms,
-which is thresholded at once into the hit indicators of a chunk of
-DRAW_CHUNK replications and turned in place into the increment table
-inc[k] = a - C[k], k = 0..c, as c+1 int8 per slot. Scratch is sized to the
-block and the chunk, never to the horizon. Every kernel reads the table:
+One decoder, `_draw_buckets`, reads that stream for every path. The partial
+sums of all c+1 laws, pooled and sorted into cuts t_1 < ... < t_m, split
+[0, 1) into buckets. U falls in bucket b = sum_i [U >= t_i], and one
+(m+1) x (c+1) int8 table, `_decode_table`, maps b to inc[0..c]. Over one
+block of slots at a time, a chunk of DRAW_CHUNK generators each fill one
+reused row of uniforms, and the chunk is bucketed at once. Scratch is sized
+to the block and the chunk, never to the horizon. PCG64 hands out its
+doubles in the same order however the draws are split, so BLOCK and the
+chunks leave every sample unchanged: a run is fixed by its seeds alone.
 
-- `_run_single` steps one trajectory slot by slot in Python,
-  u += inc[min(u, c)], and takes the maximum and the batch sums of
+- `_run_single` steps one trajectory slot by slot in Python over the
+  buckets pre-scaled by c+1, u += flat[b + min(u, c)] with flat the
+  row-major table, and takes the maximum and the batch sums of
   `time_average_queue_length` from each block's path; at width one a Python
   loop beats any per-slot numpy call by an order of magnitude.
 - `_run_many` vectorizes the replications of `replicate_max_length`. At c = 1
   it needs no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t,
-  a_t) (Lindley 1952), so with S = cumsum(a - d) = cumsum(inc[1]) over a
-  block, u = S + max(u_0, maximum.accumulate(a - S)); u is carried across
-  blocks. At c >= 2 it keeps one slot loop over all replications, with the
-  table transposed time-major, one (c+1)-byte word per replication, so each
-  slot is a single gather at index min(u, c) + word offset.
+  a_t) (Lindley 1952), so with S = cumsum(inc[1]) over a block,
+  u = S + max(u_0, maximum.accumulate(a - S)); u is carried across blocks.
+  At c >= 2 it keeps one slot loop over all replications, with the
+  pre-scaled buckets transposed time-major, so each slot is a single gather
+  from the flat table at b + min(u, c).
 
 All paths give identical maxima for a seed; `tests/test_geo_stream.py` pins
 them to recorded samples and to a plain per-slot reference.
@@ -37,18 +43,20 @@ them to recorded samples and to a plain per-slot reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
 from .errors import ConvergenceError, RangeError
-from .params import GeoParams
+from .params import GeoParams, increment_distribution
 from .replication import SimResult, make_sim_result, substream_seed
 
 BLOCK = 512        # slots per generator call (performance only: the stream does not depend on it)
 REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
-DRAW_CHUNK = 64    # replications drawn and thresholded together (performance only)
+DRAW_CHUNK = 64    # replications drawn and bucketed together (performance only)
+SLOT_CHUNK = 64    # slots of the c >= 2 gather widened to intp together (performance only)
 STATE_CAP = 2**30  # tripwire: maxima are O(ln n), so this can only mean a bug
+INCREMENT_METHOD = "one uniform per slot, inverse CDF from +1 down"  # recorded in manifests
 
 
 def _check_state(peak: int) -> None:
@@ -74,45 +82,66 @@ class GeoSimConfig:
             raise RangeError(f"need at least 1 replication, got {self.reps}")
 
 
-def _draw_increments(gens, n: int, params: GeoParams):
-    """Each block of up to BLOCK slots, DRAW_CHUNK generators at a time, decoded.
+def _decode_table(params: GeoParams):
+    """The sorted cuts t_1 < ... < t_m and the int8 table of inc[0..c] per bucket.
 
-    Yields (lo, hi, inc) with inc[j - lo, t, k] = a - C[k], k = 0..c, as int8
-    for the c+1 uniforms of gens[j] at slot t of the block. Each generator
-    fills one reused row of uniforms, thresholded at once into the chunk's hit
-    indicators [U_0 < p, U_1 < r, ..., U_c < r]; those become the increments
-    in place. A yielded array is valid until the next one.
+    Law k contributes its partial sums from +1 down, all but the last (which
+    is 1 up to rounding), each clipped into [t'_{j-1}, t'_j] of law k-1's
+    sums t' so that inc[k-1] - 1 <= inc[k] <= inc[k-1] holds exactly. In
+    bucket b, inc[k] is 1 minus the number of law k's sums <= t_b.
     """
-    count, c = len(gens), params.c
-    span = min(BLOCK, n)
-    thresholds = np.full((span, c + 1), params.r)
-    thresholds[:, 0] = params.p
-    row = np.empty((span, c + 1))
-    hits = np.empty((min(DRAW_CHUNK, count), span, c + 1), dtype=np.bool_)
+    laws = []
+    for k in range(params.c + 1):
+        sums, total = [], 0.0
+        for prob in increment_distribution(params, k).probabilities[:0:-1].tolist():
+            total += prob
+            sums.append(total)
+        if laws:
+            lower, upper = [-inf, *laws[-1]], [*laws[-1], inf]
+            sums = [min(max(s, low), high) for s, low, high in zip(sums, lower, upper)]
+        laws.append(sums)
+    cuts = sorted({s for sums in laws for s in sums})
+    table = [[1 - sum(s <= t for s in sums) for sums in laws] for t in [-1.0, *cuts]]
+    return np.array(cuts), np.array(table, dtype=np.int8)  # m <= 10 at c <= 3: int8 is ample
+
+
+def _draw_buckets(gens, n: int, cuts):
+    """Each block of up to BLOCK slots, DRAW_CHUNK generators at a time, bucketed.
+
+    Yields (lo, hi, buckets) with buckets[j - lo, t] = sum_i [U >= cuts[i]] as
+    int8 for the uniform U of gens[j] at slot t of the block. A yielded array
+    is valid until the next one.
+    """
+    count = len(gens)
+    shape = (min(DRAW_CHUNK, count), min(BLOCK, n))
+    uniforms = np.empty(shape)
+    above = np.empty(shape, dtype=np.bool_)
+    buckets = np.empty(shape, dtype=np.int8)
     for done in range(0, n, BLOCK):
         steps = min(BLOCK, n - done)
-        uniforms, limits = row[:steps], thresholds[:steps]
         for lo in range(0, count, DRAW_CHUNK):
             hi = min(lo + DRAW_CHUNK, count)
-            chunk = hits[:hi - lo, :steps]
-            for j, out in enumerate(chunk, lo):
-                gens[j].random(out=uniforms)
-                np.less(uniforms, limits, out=out)
-            inc = chunk.view(np.int8)
-            for k in range(1, c + 1):
-                np.subtract(inc[:, :, k - 1], inc[:, :, k], out=inc[:, :, k])
-            yield lo, hi, inc
+            draws, hits, out = (a[:hi - lo, :steps] for a in (uniforms, above, buckets))
+            for gen, row in zip(gens[lo:hi], draws):
+                gen.random(out=row)
+            out.fill(0)
+            for cut in cuts:
+                np.greater_equal(draws, cut, out=hits)
+                out += hits.view(np.int8)
+            yield lo, hi, out
 
 
 def _run_single(params: GeoParams, n: int, gen: np.random.Generator, edges):
     """One trajectory: its maximum and the sums of u over slots (edges[i], edges[i+1]]."""
     c = params.c
+    cuts, table = _decode_table(params)
+    flat = table.ravel().tolist()
     u = peak = done = batch = 0
     sums = [0] * (len(edges) - 1)
-    for _, _, inc in _draw_increments([gen], n, params):
+    for _, _, buckets in _draw_buckets([gen], n, cuts):
         path = []
-        for row in inc[0].tolist():
-            u += row[u if u < c else c]
+        for b in np.multiply(buckets[0], c + 1, dtype=np.intp).tolist():
+            u += flat[b + (u if u < c else c)]
             path.append(u)
         peak = max(peak, max(path))
         _check_state(peak)
@@ -134,16 +163,23 @@ def _run_many(params: GeoParams, n: int, gens) -> np.ndarray:
 
 def _lindley_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
     """c = 1: each block in closed form, u = S + max(u_0, maximum.accumulate(a - S))."""
+    cuts, table = _decode_table(params)
+    arrival, step = table[:, 0].copy(), table[:, 1].copy()
     count = len(gens)
     shape = (min(DRAW_CHUNK, count), min(BLOCK, n))
+    index = np.empty(shape, dtype=np.intp)
+    inc = np.empty(shape, dtype=np.int8)
     level = np.empty(shape, dtype=np.int32)
     path = np.empty(shape, dtype=np.int32)
     u = np.zeros(count, dtype=np.int32)
     peak = np.zeros(count, dtype=np.int32)
-    for lo, hi, inc in _draw_increments(gens, n, params):
-        m, span = inc.shape[:2]
-        total = np.cumsum(inc[:, :, 1], axis=1, dtype=np.int32, out=level[:m, :span])
-        queue = np.subtract(inc[:, :, 0], total, out=path[:m, :span])
+    for lo, hi, buckets in _draw_buckets(gens, n, cuts):
+        m, span = buckets.shape
+        b, out = index[:m, :span], inc[:m, :span]
+        np.copyto(b, buckets)
+        total = np.cumsum(step.take(b, out=out, mode="clip"), axis=1, dtype=np.int32,
+                          out=level[:m, :span])
+        queue = np.subtract(arrival.take(b, out=out, mode="clip"), total, out=path[:m, :span])
         np.maximum.accumulate(queue, axis=1, out=queue)
         np.maximum(queue, u[lo:hi, None], out=queue)
         queue += total
@@ -155,27 +191,31 @@ def _lindley_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
 
 
 def _gather_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
-    """c >= 2: one gather per slot from the time-major increment table."""
+    """c >= 2: one gather per slot from the flat table at the time-major scaled buckets."""
     c = params.c
+    cuts, table = _decode_table(params)
+    flat = table.ravel().astype(np.intp)  # intp operands throughout keep each slot's calls fast
     count = len(gens)
-    word = np.dtype((np.void, c + 1))  # one slot's c+1 increments
-    table = np.empty((min(BLOCK, n), count * word.itemsize), dtype=np.int8)
-    offsets = np.arange(count) * word.itemsize
+    scaled = np.empty((min(BLOCK, n), count), dtype=np.int8)  # b * (c+1) <= 40 at c <= 3
+    wide = np.empty((min(SLOT_CHUNK, BLOCK, n), count), dtype=np.intp)
     u = np.zeros(count, dtype=np.intp)
     peak = np.zeros(count, dtype=np.intp)
     index = np.empty(count, dtype=np.intp)
-    step = np.empty(count, dtype=np.int8)
-    for lo, hi, inc in _draw_increments(gens, n, params):
-        rows = inc.shape[1]
-        table.view(word)[:rows, lo:hi] = inc.view(word)[:, :, 0].T
+    step = np.empty(count, dtype=np.intp)
+    for lo, hi, buckets in _draw_buckets(gens, n, cuts):
+        rows = buckets.shape[1]
+        np.multiply(buckets.T, c + 1, out=scaled[:rows, lo:hi])
         if hi < count:
             continue
-        for row in table[:rows]:
-            np.minimum(u, c, out=index)
-            index += offsets
-            row.take(index, out=step, mode="clip")  # in range; "raise" would buffer out
-            u += step
-            np.maximum(peak, u, out=peak)
+        for start in range(0, rows, SLOT_CHUNK):
+            part = wide[:min(SLOT_CHUNK, rows - start)]
+            np.copyto(part, scaled[start:start + len(part)])
+            for row in part:
+                np.minimum(u, c, out=index)
+                index += row
+                flat.take(index, out=step, mode="clip")  # in range; "raise" would buffer out
+                u += step
+                np.maximum(peak, u, out=peak)
         _check_state(int(peak.max()))
     return peak
 

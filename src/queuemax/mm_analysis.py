@@ -13,7 +13,7 @@ formula for any number of servers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log
+from math import exp, inf, log
 from typing import Literal
 
 import numpy as np
@@ -46,8 +46,8 @@ class MMParams:
         if int(self.c) != self.c or self.c < 1:
             raise UnsupportedError(f"server count must be a positive integer, got {self.c!r}")
         for name, value in (("lam", self.lam), ("mu", self.mu)):
-            if not value > 0.0:
-                raise RangeError(f"{name} must be positive, got {value}")
+            if not 0.0 < value < inf:
+                raise RangeError(f"{name} must be positive and finite, got {value}")
         if self.lam >= self.c * self.mu:
             raise StabilityError(
                 f"unstable parameters: lam={self.lam} >= c*mu={self.c * self.mu}")

@@ -20,6 +20,17 @@ from .mm_analysis import MMParams
 from .replication import SimResult, make_sim_result, substream_seed
 
 EXPONENTIAL_METHOD = "inverse CDF: -log1p(-U)/mu"
+_INT64_MAX = np.iinfo(np.int64).max
+POISSON_MEAN_MAX = float(_INT64_MAX - 10 * np.sqrt(_INT64_MAX))  # numpy's bound on a Poisson mean
+
+
+def _check_interval(params: MMParams, n: float) -> None:
+    """Reject an interval the customer count of one run cannot be drawn for."""
+    if not 0 < n < inf:
+        raise RangeError(f"interval length must be positive and finite, got {n}")
+    if not params.lam * n <= POISSON_MEAN_MAX:
+        raise RangeError(f"expected customers per run lambda*n = {params.lam * n:.6g} "
+                         f"exceeds the Poisson limit {POISSON_MEAN_MAX:.6g}")
 
 
 @dataclass(frozen=True)
@@ -32,8 +43,7 @@ class MMSimConfig:
     seed: int
 
     def __post_init__(self):
-        if not 0 < self.n < inf:
-            raise RangeError(f"interval length must be positive and finite, got {self.n}")
+        _check_interval(self.params, self.n)
         if self.reps < 1:
             raise RangeError(f"need at least 1 replication, got {self.reps}")
 
@@ -83,8 +93,7 @@ def _draw_customers(params: MMParams, n: float, gen: np.random.Generator):
 
 def simulate_wait_detail(params: MMParams, n: float, seed: int) -> WaitDetail:
     """One run with full per-customer arrays."""
-    if not 0 < n < inf:
-        raise RangeError(f"interval length must be positive and finite, got {n}")
+    _check_interval(params, n)
     gen = np.random.Generator(np.random.PCG64(seed))
     arrivals, services = _draw_customers(params, n, gen)
     starts = assign_service_starts(arrivals, services, params.c)

@@ -5,11 +5,12 @@ dense numpy linear algebra for stationary vectors, direct Monte Carlo for
 hitting probabilities, Cardano's formula for the three-server decay rate,
 scan+bisection for real polynomial roots, and for the continuous queue a
 truncated birth-death chain plus Little's law and a per-server scan for FIFO
-service starts.
+service starts. The `geo` stream's reference walks each slot's cumulative
+increment law in plain Python, without the simulator's decode table.
 """
 from __future__ import annotations
 
-from math import sqrt
+from math import inf, sqrt
 from typing import Optional
 
 import numpy as np
@@ -169,21 +170,49 @@ def service_starts_by_server_scan(arrivals, services, c: int) -> np.ndarray:
     return starts
 
 
-def geo_max_by_recursion(p: float, r: float, c: int, n: int, gen: np.random.Generator) -> int:
-    """Maximum queue length of the exact slot recursion, one slot at a time.
+def geo_max_by_recursion(p: float, r: float, c: int, n: int, gen: np.random.Generator,
+                         edges=None):
+    """Maximum queue length of the exact slot recursion, and its path sums, one slot at a time.
 
-    Each slot takes c+1 uniforms from the stream: the arrival's, then one per
-    server. With a = [arrival], C[k] the completions among the first k
-    servers and C[0] = 0, the state moves as u <- u + a - C[min(u, c)].
+    Each slot takes one uniform U from the stream. With k = min(u, c) busy
+    servers, the step walks down the cumulative increment law of k servers
+    from +1: it is +1 if U < P(+1), else 0 if U < P(+1) + P(0), and so on,
+    the sums accumulated in that order. Where rounding puts the j-th sum of
+    law k above the j-th of law k-1, or below its (j-1)-th, it is moved
+    onto that bound, so one more busy server lowers a step by 0 or 1.
+    Returns the maximum and the sums of u over slots (edges[i], edges[i+1]]
+    (by default the whole run).
     """
+    params = GeoParams(p, r, c)
+    edges = [0, n] if edges is None else list(edges)
+    laws = []
+    for busy in range(c + 1):
+        probabilities = increment_distribution(params, busy).probabilities.tolist()
+        running, cumulative = 0.0, []
+        for prob in reversed(probabilities[1:]):  # +1, 0, ..., 1 - busy
+            running += prob
+            cumulative.append(running)
+        if busy:
+            upper = laws[busy - 1] + [inf]
+            lower = [-inf] + laws[busy - 1]
+            cumulative = [min(max(s, lower[j]), upper[j]) for j, s in enumerate(cumulative)]
+        laws.append(cumulative)
     u = peak = 0
-    for row in gen.random((n, c + 1)).tolist():
-        completions = [0]
-        for uniform in row[1:]:
-            completions.append(completions[-1] + (uniform < r))
-        u += (row[0] < p) - completions[min(u, c)]
+    sums = [0] * (len(edges) - 1)
+    batch = 0
+    for slot, uniform in enumerate(gen.random(n).tolist(), 1):
+        step = 1
+        for cut in laws[min(u, c)]:
+            if uniform < cut:
+                break
+            step -= 1
+        u += step
         peak = max(peak, u)
-    return peak
+        while batch < len(sums) and slot > edges[batch + 1]:
+            batch += 1
+        if batch < len(sums) and slot > edges[batch]:
+            sums[batch] += u
+    return peak, sums
 
 
 def nu_minus1_by_ladder_heights(params: GeoParams, omega: float) -> float:

@@ -250,6 +250,22 @@ class TestSimulate:
         assert main(replay) == 0
         assert (out / "samples.csv").read_bytes() == (replay_out / "samples.csv").read_bytes()
 
+    def test_manifest_names_each_stream(self, tmp_path, capsys):
+        """geo records its increment decoding; the mm block is as it was before geo's."""
+        geo, mm = tmp_path / "geo", tmp_path / "mm"
+        assert main(["simulate", "geo", "--p", "0.2", "--r", "0.3", "--c", "2", "--n", "100",
+                     "--reps", "5", "--out", str(geo)]) == 0
+        assert main(["simulate", "mm", "--lambda", "0.2", "--mu", "0.3", "--c", "2",
+                     "--n", "100", "--reps", "5", "--out", str(mm)]) == 0
+        substreams = "splitmix64(master_seed, replication_index)"
+        want_geo = {"algorithm": "PCG64", "substreams": substreams,
+                    "increments": "one uniform per slot, inverse CDF from +1 down"}
+        assert read_json(geo / "manifest.json")["prng"] == want_geo
+        assert read_json(geo / "summary.json")["prng"] == want_geo
+        assert read_json(mm / "manifest.json")["prng"] == {
+            "algorithm": "PCG64", "substreams": substreams,
+            "exponentials": "inverse CDF: -log1p(-U)/mu"}
+
     def test_random_seed_opt_in(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "ra", tmp_path / "rb"
         args = ["simulate", "geo", "--p", "0.2", "--r", "0.3", "--c", "1",
@@ -345,6 +361,25 @@ class TestExitCodes:
         code = main([command, *target, "--n", n, *reps, "--out", str(tmp_path)])
         assert code == 2
         assert "--n must be" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    @pytest.mark.parametrize("rates", [["--lambda", "0.2", "--mu", "inf"],
+                                       ["--lambda", "inf", "--mu", "inf"]])
+    def test_non_finite_rate_is_two(self, command, rates, tmp_path, capsys):
+        reps = [] if command == "analyze" else ["--reps", "5"]
+        code = main([command, "mm", *rates, "--c", "1", "--n", "50", *reps,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_customer_count_past_poisson_limit_is_two(self, command, tmp_path, capsys):
+        code = main([command, "mm", "--lambda", "1e308", "--mu", "1e308", "--c", "3",
+                     "--n", "1", "--reps", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "Poisson limit" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
     def test_io_failure_is_four(self, tmp_path, capsys):

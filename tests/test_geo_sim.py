@@ -66,6 +66,7 @@ class TestDeterminism:
                     patch.setattr(geo_sim, "BLOCK", block)
                     patch.setattr(geo_sim, "DRAW_CHUNK", 3)
                     patch.setattr(geo_sim, "REP_CHUNK", 7)
+                    patch.setattr(geo_sim, "SLOT_CHUNK", 5)
                     chunked = replicate_max_length(config).samples
                     gen = substream_generator(5, 49)
                     scalar, _ = geo_sim._run_single(params, 800, gen, [0, 800])

@@ -1,28 +1,33 @@
 """The outputs of the discrete-queue simulator, pinned bit for bit.
 
-`data/geo_stream_golden.json` holds `replicate_max_length` samples recorded
-with the slot-by-slot kernel that preceded the time-vectorized one, and
+The stream takes one uniform per slot and maps it through the inverse CDF of
+the increment law of the slot's busy servers, read from +1 down.
+`data/geo_stream_golden.json` holds `replicate_max_length` samples and
 `data/geo_scalar_golden.json` the `simulate_max_length` maxima and the
-`time_average_queue_length` (mean, se) pairs recorded with the scalar path
-that decoded its own uniforms, at horizons and batch edges on both sides of
-BLOCK. Any change to a kernel, the substream derivation or the
-uniform stream shows here, even when the scalar and vectorized paths drift
-together. A deliberate stream change must be versioned in the run manifest;
-regenerate both files then with `PYTHONPATH=src python tests/test_geo_stream.py`.
+`time_average_queue_length` (mean, se) pairs, at horizons and batch edges on
+both sides of BLOCK. Both files are computed by the plain-Python per-slot
+reference `oracles.geo_max_by_recursion`, not by the kernels under test. Any
+change to a kernel, the substream derivation or the uniform stream shows
+here, even when the scalar and vectorized paths drift together. A deliberate
+stream change must be versioned in the run manifest; regenerate both files
+then with `PYTHONPATH=src python tests/test_geo_stream.py`.
 
-The exact-recursion test checks `_run_many` against the plain-Python
-per-slot reference in `oracles.py` across block and sub-chunk edges.
+The property tests check the decode table against the increment laws, and
+both kernels against the reference across block and sub-chunk edges.
 """
 import json
+from math import sqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import queuemax.geo_sim as geo_sim
-from queuemax import (GeoSimConfig, replicate_max_length, simulate_max_length,
-                      substream_generator, time_average_queue_length, validate_geo_params)
+from queuemax import (GeoSimConfig, increment_distribution, replicate_max_length,
+                      simulate_max_length, substream_generator, time_average_queue_length,
+                      validate_geo_params)
 
 from oracles import geo_max_by_recursion
 
@@ -50,6 +55,12 @@ def _samples(c, n, reps, seed):
     return replicate_max_length(GeoSimConfig(PARAMS[c], n, reps, seed)).samples.tolist()
 
 
+def _reference_samples(c, n, reps, seed):
+    p, r = PARAMS[c].p, PARAMS[c].r
+    return [geo_max_by_recursion(p, r, c, n, substream_generator(seed, i))[0]
+            for i in range(reps)]
+
+
 def _golden():
     return {(case["c"], case["n"], case["reps"], case["seed"]): case["samples"]
             for case in json.loads(GOLDEN.read_text())["cases"]}
@@ -74,6 +85,17 @@ def _scalar_output(c, n, batches, seed):
     return list(time_average_queue_length(PARAMS[c], n, seed, batches))
 
 
+def _reference_scalar_output(c, n, batches, seed):
+    """What the scalar path must return, from the reference's maximum and path sums."""
+    p, r = PARAMS[c].p, PARAMS[c].r
+    gen = np.random.Generator(np.random.PCG64(seed))
+    if batches is None:
+        return geo_max_by_recursion(p, r, c, n, gen)[0]
+    edges = [round(i * n / batches) for i in range(batches + 1)]
+    means = np.asarray(geo_max_by_recursion(p, r, c, n, gen, edges)[1]) / np.diff(edges)
+    return [float(means.mean()), float(means.std(ddof=1) / sqrt(batches))]
+
+
 def _scalar_golden():
     return {(case["c"], case["n"], case["batches"], case["seed"]): case["output"]
             for case in json.loads(SCALAR_GOLDEN.read_text())["cases"]}
@@ -96,17 +118,68 @@ def test_vector_kernel_matches_exact_recursion(p, r, c, n, reps, master):
     params = validate_geo_params(p, r, c)
     gens = [substream_generator(master, i) for i in range(reps)]
     got = geo_sim._run_many(params, n, gens).tolist()
-    want = [geo_max_by_recursion(p, r, c, n, substream_generator(master, i))
+    want = [geo_max_by_recursion(p, r, c, n, substream_generator(master, i))[0]
             for i in range(reps)]
     assert got == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
+       n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000]),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=4), seed=st.integers(0, 2**63 - 1))
+def test_scalar_path_matches_exact_recursion(p, r, c, n, cuts, seed):
+    assume(p < c * r)
+    edges = sorted({0, n, *(round(x * n) for x in cuts)})
+    params = validate_geo_params(p, r, c)
+    got = geo_sim._run_single(params, n, np.random.Generator(np.random.PCG64(seed)), edges)
+    want = geo_max_by_recursion(p, r, c, n, np.random.Generator(np.random.PCG64(seed)), edges)
+    assert got == want
+
+
+EDGE_RATES = [1e-9, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-9]
+
+
+@st.composite
+def _decode_params(draw):
+    """(p, r, c) with r at the ends of (0, 1) and p near c*r or near 0, or anywhere."""
+    c = draw(st.sampled_from([1, 2, 3]))
+    r = draw(st.sampled_from(EDGE_RATES) | st.floats(1e-12, 1 - 1e-12))
+    top = min(c * r, 1.0)
+    share = draw(st.sampled_from([1e-300, 1e-12, 1e-6, 1 - 1e-6, 1 - 1e-9, 1 - 1e-15])
+                 | st.floats(1e-15, 1 - 1e-15))
+    p = top * share
+    assume(0.0 < p < min(c * r, 1.0))
+    return validate_geo_params(p, r, c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=_decode_params())
+# raw sums of law 3 fall an ulp above one of law 2's, and an ulp below another
+@example(params=validate_geo_params(3.0872931667456243e-19, 4.05002061402857e-11, 3))
+@example(params=validate_geo_params(1.2289343265380279e-11, 3.97954998344126e-09, 3))
+def test_decode_table_reproduces_each_law(params):
+    cuts, table = geo_sim._decode_table(params)
+    assert table.shape == (len(cuts) + 1, params.c + 1)
+    assert np.all(np.diff(cuts) > 0.0)
+    widths = np.diff(np.clip([0.0, *cuts, 1.0], 0.0, 1.0))
+    for k in range(params.c + 1):
+        law = increment_distribution(params, k)
+        got = np.bincount(1 - table[:, k], weights=widths, minlength=k + 2)
+        assert np.allclose(got[::-1], law.probabilities, rtol=0.0, atol=1e-15)
+    drops = -np.diff(table, axis=1)  # inc[k-1] - inc[k] in every bucket
+    assert np.all((drops == 0) | (drops == 1))
+    if params.c == 1:
+        arrival_less_step = table[:, 0] - table[:, 1]
+        assert np.all((0 <= arrival_less_step) & (arrival_less_step <= 1))
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    cases = [{"c": c, "n": n, "reps": reps, "seed": seed, "samples": _samples(c, n, reps, seed)}
+    cases = [{"c": c, "n": n, "reps": reps, "seed": seed,
+              "samples": _reference_samples(c, n, reps, seed)}
              for c, n, reps, seed in _cases()]
     GOLDEN.write_text(json.dumps({"cases": cases}, separators=(",", ":")) + "\n")
     cases = [{"c": c, "n": n, "batches": batches, "seed": seed,
-              "output": _scalar_output(c, n, batches, seed)}
+              "output": _reference_scalar_output(c, n, batches, seed)}
              for c, n, batches, seed in _scalar_cases()]
     SCALAR_GOLDEN.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
