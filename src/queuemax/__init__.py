@@ -14,8 +14,8 @@ from .errors import (BracketError, ConvergenceError, DegenerateRootsError,
                      DegenerateSampleError, HeuristicRangeWarning, QueueMaxError,
                      RangeError, SingularError, StabilityError, UnsupportedError)
 from .geo_analysis import (GeoAnalysis, MaxLengthLaw, NuRecord, analyze_geo, decay_rate_omega,
-                           expected_max_length, hitting_probabilities, max_length_cdf,
-                           max_length_law, mean_queue_length, stationary_distribution)
+                           expected_max_length, hitting_probabilities, max_length_law,
+                           mean_queue_length, stationary_distribution)
 from .geo_sim import (GeoSimConfig, replicate_max_length, simulate_max_length,
                       time_average_queue_length)
 from .mm_analysis import (MM1Asymptotics, MMParams, expected_max_wait_mm1,
@@ -23,8 +23,7 @@ from .mm_analysis import (MM1Asymptotics, MMParams, expected_max_wait_mm1,
                           validate_mm_params)
 from .mm_sim import (MMSimConfig, WaitDetail, WaitSimResult, assign_service_starts,
                      replicate_wait_maxima, simulate_wait_detail)
-from .numerics import (ComplexRootSet, Polynomial, fixed_point_root,
-                       polynomial_roots, solve_linear_system)
+from .numerics import fixed_point_root, polynomial_roots, solve_linear_system
 from .params import GeoParams, IncrementPMF, increment_distribution, validate_geo_params
 from .replication import (PRNG_ALGORITHM, SEED_DERIVATION, SimResult,
                           substream_generator, substream_seed)
@@ -40,11 +39,10 @@ __all__ = [
     # discrete-queue parameters and increments
     "GeoParams", "IncrementPMF", "validate_geo_params", "increment_distribution",
     # numeric kernels
-    "Polynomial", "ComplexRootSet", "polynomial_roots", "solve_linear_system",
-    "fixed_point_root",
+    "polynomial_roots", "solve_linear_system", "fixed_point_root",
     # discrete-queue analytics
     "GeoAnalysis", "NuRecord", "MaxLengthLaw", "analyze_geo", "decay_rate_omega",
-    "stationary_distribution", "hitting_probabilities", "max_length_law", "max_length_cdf",
+    "stationary_distribution", "hitting_probabilities", "max_length_law",
     "expected_max_length", "mean_queue_length",
     # discrete-queue simulator
     "GeoSimConfig", "simulate_max_length", "replicate_max_length",

@@ -304,9 +304,9 @@ def _analyze_mm(params, n, *_):
         return report, None, None
     report["max_wait"] = {"available": True, **_mm1_expected_maxima(params, n),
                           "slope": 1.0 / (params.mu - params.lam)}
-    cdfs = _mm1_cdfs(params, n)
-    rows = [[y, cdfs["sys"](y), cdfs["que"](y)] for y in _mm_cdf_grid(params, n).tolist()]
-    return report, None, (["y", "predicted_sys", "predicted_que"], rows)
+    grid = _mm_cdf_grid(params, n)
+    columns = [grid.tolist()] + [cdf(grid).tolist() for cdf in _mm1_cdfs(params, n).values()]
+    return report, None, (["y", "predicted_sys", "predicted_que"], list(zip(*columns)))
 
 
 def _mm_replicate(params, n, reps, seed):
@@ -362,7 +362,7 @@ def _compare_mm(params, n, reps, seed):
     columns = [grid.tolist()]
     for label, sim in maxima.items():
         cdf = predict[label]
-        columns.append([float(cdf(y)) if cdf else nan for y in columns[0]])
+        columns.append(cdf(grid).tolist() if cdf else [nan] * grid.size)
         columns.append(sim.ecdf.evaluate(grid).tolist())
     header = ["y", "predicted_sys", "empirical_sys", "predicted_que", "empirical_que"]
     return report, samples, (header, list(zip(*columns)))

@@ -20,7 +20,7 @@ from math import exp, log
 import numpy as np
 
 from .errors import DegenerateRootsError, HeuristicRangeWarning, RangeError
-from .numerics import Polynomial, fixed_point_root, polynomial_roots, solve_linear_system
+from .numerics import fixed_point_root, polynomial_roots, solve_linear_system
 from .params import GeoParams, increment_distribution
 from .stats import EULER_GAMMA
 
@@ -109,7 +109,8 @@ def decay_rate_omega(params: GeoParams) -> float:
 
 def _stationary_from_omega(params: GeoParams, omega: float):
     """Boundary masses and pi_c by back-substituting the balance equations
-    of columns c..1 against the geometric tail pi_j = omega^(j-c) pi_c."""
+    of columns c..1 against the geometric tail pi_j = omega^(j-c) pi_c.
+    Raises DegenerateRootsError for a mass outside (0, 1), as omega off its root gives."""
     c = params.c
     pmfs = [increment_distribution(params, busy) for busy in range(c + 1)]
 
@@ -124,6 +125,8 @@ def _stationary_from_omega(params: GeoParams, omega: float):
         ratio[k - 1] = acc / trans(k - 1, k)  # trans(k-1, k) = p*s^busy > 0
     pi_c = 1.0 / (1.0 / (1.0 - omega) + sum(ratio[j] for j in range(c)))
     boundary = tuple(ratio[j] * pi_c for j in range(c))
+    if any(not 0.0 < b < 1.0 for b in boundary) or not 0.0 < pi_c < 1.0:
+        raise DegenerateRootsError(f"stationary masses {boundary}, {pi_c} not all in (0, 1)")
     return boundary, pi_c
 
 
@@ -165,17 +168,14 @@ def hitting_probabilities(params: GeoParams) -> NuRecord:
     # one, z (A(1/z) - 1), has the same coefficients in reverse order
     df = pmf.probabilities.copy()
     df[c] -= 1.0
-    ascent_cubic = Polynomial(_divide_out_root_at_one(df))
-    descent_cubic = Polynomial(_divide_out_root_at_one(df[::-1]))
-
-    ascent_roots = polynomial_roots(ascent_cubic).roots
+    ascent_roots = polynomial_roots(_divide_out_root_at_one(df))
     interior = [z for z in ascent_roots if abs(z) < 1.0 - INTERIOR_MARGIN]
     if len(interior) != c - 1:
         raise DegenerateRootsError(
             f"expected {c - 1} ascent-denominator roots inside the unit disk, "
             f"found {len(interior)} among {ascent_roots}")
 
-    descent_roots = sorted(polynomial_roots(descent_cubic).roots, key=abs)
+    descent_roots = sorted(polynomial_roots(_divide_out_root_at_one(df[::-1])), key=abs)
     z4 = descent_roots[0]
     if len(descent_roots) > 1 and abs(descent_roots[1]) - abs(z4) < MODULUS_TIE_TOL:
         raise DegenerateRootsError(
@@ -268,11 +268,6 @@ def max_length_law(analysis: GeoAnalysis, n: float) -> MaxLengthLaw:
     if n < 1:
         raise RangeError(f"horizon must be at least 1 step, got {n}")
     return MaxLengthLaw(analysis.omega, analysis.beta, float(n), analysis.params.c)
-
-
-def max_length_cdf(analysis: GeoAnalysis, n: float, k: int) -> float:
-    """Asymptotic P{M_n <= k} for the queue-length maximum."""
-    return max_length_law(analysis, n).cdf(k)
 
 
 def expected_max_length(analysis: GeoAnalysis, n: float) -> float:

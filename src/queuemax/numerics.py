@@ -1,5 +1,5 @@
-"""Small numeric kernels: complex polynomial roots, a dense complex linear
-solve, and guarded bisection.
+"""Small numeric kernels on plain numpy arrays: complex polynomial roots, a
+dense complex linear solve, and guarded bisection.
 
 Roots and solves come from numpy (np.roots, np.linalg.solve); what this module
 adds is the certificate around each: every root is residual-checked, every
@@ -8,10 +8,10 @@ that fails its check raises a typed error instead of being returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import BracketError, ConvergenceError, RangeError, SingularError
 
@@ -21,62 +21,33 @@ PIVOT_REL = 1e-13
 SOLVE_RESIDUAL_REL = 1e-10
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial with coefficients in ascending degree order."""
+def polynomial_roots(coefficients) -> np.ndarray:
+    """All complex roots of a real polynomial of degree >= 1, sorted by
+    (real, imag) so that conjugate pairs come out adjacent.
 
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=np.float64))
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise RangeError("coefficients must be a nonempty 1-d sequence")
-        scale = float(np.max(np.abs(coeffs)))
-        if scale == 0.0:
-            raise RangeError("the zero polynomial has no defined degree")
-        # trim high-order coefficients that are numerically zero
-        keep = coeffs.size
-        while keep > 1 and abs(coeffs[keep - 1]) < COEFF_TRIM_REL * scale:
-            keep -= 1
-        coeffs = coeffs[:keep].copy()
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
-
-    def __call__(self, z):
-        acc = 0.0
-        for coeff in self.coefficients[::-1]:
-            acc = acc * z + coeff
-        return acc
-
-
-@dataclass(frozen=True)
-class ComplexRootSet:
-    """All roots of a polynomial together with their certified residuals."""
-
-    roots: np.ndarray
-    residuals: np.ndarray
-
-
-def polynomial_roots(poly: Polynomial) -> ComplexRootSet:
-    """All complex roots of a polynomial of degree >= 1.
-
-    np.roots finds them as companion-matrix eigenvalues; each root is then
-    certified by |P(z)| < 1e-10 * max|coefficient|. Conjugate pairs come out
-    adjacent in the (real, imag)-sorted result.
+    Coefficients are in ascending degree order; high-order ones below
+    1e-15 * max|coefficient| are trimmed first. np.roots finds the roots as
+    companion-matrix eigenvalues; each root is then certified by
+    |P(z)| < 1e-10 * max|coefficient|.
     """
-    if poly.degree < 1:
-        raise RangeError(f"degree must be at least 1, got {poly.degree}")
-    coeffs = poly.coefficients
+    coeffs = np.atleast_1d(np.asarray(coefficients, dtype=np.float64))
+    if coeffs.ndim != 1 or coeffs.size == 0:
+        raise RangeError("coefficients must be a nonempty 1-d sequence")
     scale = float(np.max(np.abs(coeffs)))
+    if scale == 0.0:
+        raise RangeError("the zero polynomial has no defined degree")
+    # trim high-order coefficients that are numerically zero
+    keep = coeffs.size
+    while keep > 1 and abs(coeffs[keep - 1]) < COEFF_TRIM_REL * scale:
+        keep -= 1
+    if keep < 2:
+        raise RangeError(f"degree must be at least 1, got {keep - 1}")
+    coeffs = coeffs[:keep]
     roots = np.roots(coeffs[::-1]).astype(complex)
 
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]
-    residuals = np.abs([poly(z) for z in roots])
+    residuals = np.abs(polyval(roots, coeffs))
     # For |z| >> 1 the evaluation of P(z) itself carries rounding noise of
     # order eps * sum |a_i z^i|, so the certificate is normalized by that
     # scale; for |z| <= 1 it reduces to the flat 1e-10 * max|coeff| bound.
@@ -86,7 +57,7 @@ def polynomial_roots(poly: Polynomial) -> ComplexRootSet:
     if np.any(residuals >= bounds):
         raise ConvergenceError(
             f"root residuals {residuals} exceed tolerances {bounds}")
-    return ComplexRootSet(roots, residuals)
+    return roots
 
 
 def solve_linear_system(matrix, rhs) -> np.ndarray:

@@ -91,10 +91,6 @@ class IncrementPMF:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probabilities", probs)
 
-    @property
-    def busy(self) -> int:
-        return int(-self.support[0])
-
     def mean(self) -> float:
         return float(np.dot(self.support, self.probabilities))
 

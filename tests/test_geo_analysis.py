@@ -3,11 +3,14 @@ from math import log
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from queuemax import (HeuristicRangeWarning, RangeError, UnsupportedError,
-                      analyze_geo, decay_rate_omega, expected_max_length,
-                      hitting_probabilities, increment_distribution,
-                      max_length_cdf, max_length_law, mean_queue_length,
+from queuemax import (BracketError, ConvergenceError, DegenerateRootsError,
+                      HeuristicRangeWarning, RangeError, SingularError,
+                      StabilityError, UnsupportedError, analyze_geo, decay_rate_omega,
+                      expected_max_length, hitting_probabilities,
+                      increment_distribution, max_length_law, mean_queue_length,
                       stationary_distribution, validate_geo_params)
 from oracles import (decay_rate_omega_closed_form, mc_hitting_probability,
                      nu_minus1_by_ladder_heights, truncated_stationary_vector,
@@ -99,6 +102,15 @@ class TestStationaryDistribution:
         analysis = analyze_geo(params)
         ours = np.array([analysis.pi(j) for j in range(401)])
         assert float(np.max(np.abs(ours - oracle))) < 1e-9
+
+    def test_masses_outside_unit_interval_rejected(self):
+        # omega stops at the end of its bisection bracket here, and the law
+        # built on it has pi_0 = -7.8e-13 and a mean queue length of 1e12
+        params = validate_geo_params(1.5e-5, 1e-5, 3)
+        with pytest.raises(DegenerateRootsError):
+            stationary_distribution(params)
+        with pytest.raises(DegenerateRootsError):
+            mean_queue_length(params)
 
     def test_stationarity_residual_of_full_vector(self):
         matrix = truncated_transition_matrix(REFERENCE, 401)
@@ -193,25 +205,26 @@ class TestClumpRateAndMaxLaw:
 
     def test_cdf_limits_and_monotonicity(self):
         analysis = analyze_geo(REFERENCE)
-        values = [max_length_cdf(analysis, 10**4, k) for k in range(3, 120)]
+        law = max_length_law(analysis, 10**4)
+        values = [law.cdf(k) for k in range(3, 120)]
         assert all(0.0 < v <= 1.0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=1e-9)
         # decreasing in n
-        assert max_length_cdf(analysis, 2 * 10**4, 15) < max_length_cdf(analysis, 10**4, 15)
+        assert max_length_law(analysis, 2 * 10**4).cdf(15) < law.cdf(15)
 
     def test_cdf_scaling_identity(self):
         # P{M_n <= k} = P{M_{n/omega} <= k+1} exactly under exp(-beta n omega^k)
         analysis = analyze_geo(REFERENCE)
         n = 5000.0
-        left = max_length_cdf(analysis, n, 14)
-        right = max_length_cdf(analysis, n / analysis.omega, 15)
+        left = max_length_law(analysis, n).cdf(14)
+        right = max_length_law(analysis, n / analysis.omega).cdf(15)
         assert left == pytest.approx(right, rel=1e-12)
 
     def test_warns_below_boundary_level(self):
         analysis = analyze_geo(REFERENCE)
         with pytest.warns(HeuristicRangeWarning):
-            value = max_length_cdf(analysis, 100, 2)
+            value = max_length_law(analysis, 100).cdf(2)
         assert 0.0 <= value <= 1.0
 
     def test_expected_max_affine_in_log_n(self):
@@ -285,3 +298,25 @@ class TestContinuityOverParameters:
             span = float(arr.max() - arr.min())
             if span > 0:
                 assert float(jumps.max()) < 0.35 * span  # a selection jump would be O(span)
+
+
+# a probability drawn log-uniformly from (1e-16, 1), or within 1e-16 of 1
+UNIT = (st.floats(-16.0, 0.0, exclude_max=True).map(lambda e: 10.0**e)
+        | st.floats(0.0, 1e-16).map(lambda d: 1.0 - d))
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=st.sampled_from([1, 2, 3]), r=UNIT, load=UNIT)
+@example(c=3, r=1e-5, load=0.5)  # omega at its bracket end: masses outside (0, 1)
+@example(c=1, r=0.1, load=0.9999)  # the omega gap cancels: BracketError
+def test_analysis_returns_or_raises_a_numeric_error(c, r, load):
+    """The library contract on every valid input: a certified analysis, or one
+    of the numeric errors the command line maps to exit code 3."""
+    try:
+        params = validate_geo_params(load * c * r, r, c)
+    except (RangeError, StabilityError):
+        assume(False)
+    try:
+        analyze_geo(params)
+    except (BracketError, ConvergenceError, SingularError, DegenerateRootsError):
+        pass
