@@ -38,7 +38,7 @@ from .mm_analysis import (expected_max_wait_mm1, max_wait_cdf_mm1, mean_wait,
                           mm1_asymptotics, validate_mm_params)
 from .mm_sim import EXPONENTIAL_METHOD, MMSimConfig, replicate_wait_maxima
 from .params import validate_geo_params
-from .replication import PRNG_ALGORITHM, SEED_DERIVATION
+from .replication import PRNG_ALGORITHM, SEED_DERIVATION, check_master_seed
 from .stats import gumbel_fit_two_moment, ks_distance
 
 DEFAULT_MASTER_SEED = 123456789  # fixed so default runs reproduce; --seed random opts out
@@ -64,13 +64,16 @@ def parse_number(text: str) -> float:
 
 
 def parse_seed(text: str) -> int:
-    """An integer master seed, or 'random' for one drawn from entropy."""
+    """An integer master seed in [0, 2^64), or 'random' for one drawn from entropy."""
     if text == "random":
         return secrets.randbits(63)
     try:
-        return int(text, 0)
+        seed = int(text, 0)
+        check_master_seed(seed)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"seed must be an integer or 'random': {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2**64) or 'random': {text!r}") from exc
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:

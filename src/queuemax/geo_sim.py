@@ -49,7 +49,8 @@ import numpy as np
 
 from .errors import ConvergenceError, RangeError
 from .params import GeoParams, increment_distribution
-from .replication import SimResult, make_sim_result, substream_seed
+from .replication import (SimResult, check_master_seed, make_sim_result, substream_generators,
+                          substream_seed)
 
 BLOCK = 512        # slots per generator call (performance only: the stream does not depend on it)
 REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
@@ -80,6 +81,7 @@ class GeoSimConfig:
             raise RangeError(f"horizon must be at least 1 step, got {self.n}")
         if self.reps < 1:
             raise RangeError(f"need at least 1 replication, got {self.reps}")
+        check_master_seed(self.seed)
 
 
 def _decode_table(params: GeoParams):
@@ -254,6 +256,6 @@ def replicate_max_length(config: GeoSimConfig) -> SimResult:
     seeds = [substream_seed(config.seed, i) for i in range(config.reps)]
     samples = np.empty(config.reps, dtype=np.int64)
     for lo in range(0, config.reps, REP_CHUNK):
-        gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds[lo:lo + REP_CHUNK]]
+        gens = list(substream_generators(seeds[lo:lo + REP_CHUNK]))
         samples[lo:lo + REP_CHUNK] = _run_many(config.params, config.n, gens)
     return make_sim_result(samples, seeds)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import RangeError
 from .mm_analysis import MMParams
-from .replication import SimResult, make_sim_result, substream_seed
+from .replication import (SimResult, check_master_seed, make_sim_result, substream_generators,
+                          substream_seed)
 
 EXPONENTIAL_METHOD = "inverse CDF: -log1p(-U)/mu"
 _INT64_MAX = np.iinfo(np.int64).max
@@ -46,6 +47,7 @@ class MMSimConfig:
         _check_interval(self.params, self.n)
         if self.reps < 1:
             raise RangeError(f"need at least 1 replication, got {self.reps}")
+        check_master_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,10 @@ def _draw_customers(params: MMParams, n: float, gen: np.random.Generator):
 def simulate_wait_detail(params: MMParams, n: float, seed: int) -> WaitDetail:
     """One run with full per-customer arrays."""
     _check_interval(params, n)
-    gen = np.random.Generator(np.random.PCG64(seed))
+    return _wait_detail(params, n, np.random.Generator(np.random.PCG64(seed)))
+
+
+def _wait_detail(params: MMParams, n: float, gen: np.random.Generator) -> WaitDetail:
     arrivals, services = _draw_customers(params, n, gen)
     starts = assign_service_starts(arrivals, services, params.c)
     wait_que = starts - arrivals
@@ -129,8 +134,8 @@ def replicate_wait_maxima(config: MMSimConfig) -> WaitSimResult:
     seeds = [substream_seed(config.seed, i) for i in range(reps)]
     table = np.zeros((reps, 4))
     counts = np.zeros(reps, dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        detail = simulate_wait_detail(config.params, config.n, seed)
+    for i, gen in enumerate(substream_generators(seeds)):
+        detail = _wait_detail(config.params, config.n, gen)
         if detail.arrivals.size:
             table[i] = (detail.wait_sys.max(), detail.wait_que.max(),
                         detail.wait_sys.mean(), detail.wait_que.mean())

@@ -352,6 +352,26 @@ class TestExitCodes:
         assert code == 2
         assert "replication" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", [["geo", "--p", "0.2", "--r", "0.3"],
+                                        ["mm", "--lambda", "0.2", "--mu", "0.3"]])
+    @pytest.mark.parametrize("seed", ["-1", "-5", str(2**64), str(2**65 - 5)])
+    def test_seed_outside_64_bits_is_two(self, target, seed, tmp_path, capsys):
+        # -5, 2**64 - 5 and 2**65 - 5 once ran the same streams under three manifests
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", *target, "--n", "50", "--reps", "3", "--seed", seed,
+                  "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "[0, 2**64)" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("target", [["geo", "--p", "0.2", "--r", "0.3"],
+                                        ["mm", "--lambda", "0.2", "--mu", "0.3"]])
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seed_at_64_bit_ends_runs(self, target, seed, tmp_path, capsys):
+        assert main(["simulate", *target, "--n", "50", "--reps", "3", "--seed", seed,
+                     "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "manifest.json")["master_seed"] == int(seed)
+
     @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
     @pytest.mark.parametrize("target", [["geo", "--p", "0.2", "--r", "0.3"],
                                         ["mm", "--lambda", "0.2", "--mu", "0.3"]])

@@ -99,11 +99,11 @@ class TestSingleRun:
 
     def test_inconsistent_waits_rejected(self, monkeypatch):
         # queue waits above system waits break the check over the whole table
-        def corrupt(params, n, seed):
+        def corrupt(params, n, gen):
             ones = np.ones(3)
             return WaitDetail(ones, ones, ones, 2.0 * ones, ones)
 
-        monkeypatch.setattr(mm_sim, "simulate_wait_detail", corrupt)
+        monkeypatch.setattr(mm_sim, "_wait_detail", corrupt)
         with pytest.raises(RangeError):
             replicate_wait_maxima(MMSimConfig(SINGLE, 10.0, 2, seed=1))
 

@@ -1,0 +1,109 @@
+"""Replication generators: the batched SeedSequence hash and the master-seed range.
+
+`substream_generators` re-implements numpy's SeedSequence hash over a whole
+batch of seeds; numpy's own `SeedSequence` and `PCG64(seed)` are the
+references here, and `substream_generator` is the per-replication one. The
+module turns RuntimeWarnings into errors, so a scalar uint32 overflow in the
+hash (which numpy only warns about) fails it. Other warnings stay warnings:
+hypothesis imports libcst to report a failing example, and libcst's import
+warns, which would abort the session instead of reporting the failure.
+"""
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from queuemax import (GeoSimConfig, MMSimConfig, RangeError, replicate_max_length,
+                      replicate_wait_maxima, simulate_max_length, simulate_wait_detail,
+                      substream_generator, substream_seed, validate_geo_params,
+                      validate_mm_params)
+from queuemax.replication import _HashedSeed, seed_sequence_words, substream_generators
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+SEEDS = st.integers(0, 2**64 - 1)
+EDGES = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+GEO = validate_geo_params(0.2, 0.3, 2)
+MM = validate_mm_params(0.2, 0.3, 2)
+
+
+def with_edges(test):
+    """Run a property on one seed at every edge of the 32- and 64-bit ranges too."""
+    for seed in EDGES:
+        test = example(seed=seed)(test)
+    return test
+
+
+@given(seed=SEEDS)
+@with_edges
+@settings(max_examples=300, deadline=None)
+def test_words_equal_seed_sequence(seed):
+    want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    got = seed_sequence_words([seed])
+    assert got.dtype == np.uint64 and got.shape == (1, 4)
+    np.testing.assert_array_equal(got[0], want)
+
+
+@given(seeds=st.lists(SEEDS, max_size=70))
+@settings(max_examples=60, deadline=None)
+def test_batch_rows_equal_seed_sequence(seeds):
+    want = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+    np.testing.assert_array_equal(seed_sequence_words(seeds), np.reshape(want, (len(seeds), 4)))
+
+
+@given(seed=SEEDS)
+@with_edges
+@settings(max_examples=100, deadline=None)
+def test_generator_draws_equal_pcg64(seed):
+    (gen,) = substream_generators([seed])
+    want = np.random.Generator(np.random.PCG64(seed))
+    np.testing.assert_array_equal(gen.random(1000), want.random(1000))
+    row, want_row = np.empty(512), np.empty(512)
+    for _ in range(3):
+        gen.random(out=row)
+        want.random(out=want_row)
+        np.testing.assert_array_equal(row, want_row)
+
+
+def test_campaign_generators_equal_substream_generator():
+    master = 2**64 - 1
+    seeds = [substream_seed(master, i) for i in range(130)]
+    gens = list(substream_generators(seeds))
+    assert len(gens) == 130
+    for i, gen in enumerate(gens):
+        np.testing.assert_array_equal(gen.random(64), substream_generator(master, i).random(64))
+    assert list(substream_generators([])) == []
+
+
+@pytest.mark.parametrize("request_", [(4,), (4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                      (8, np.uint64), (4, np.int64)])
+def test_stand_in_answers_only_pcg64s_request(request_):
+    words = seed_sequence_words([7])[0]
+    stand_in = _HashedSeed(words)
+    with pytest.raises(ValueError):
+        stand_in.generate_state(*request_)
+    np.testing.assert_array_equal(stand_in.generate_state(4, np.uint64),
+                                  np.random.SeedSequence(7).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**65 - 5])
+def test_configs_refuse_seeds_outside_64_bits(seed):
+    with pytest.raises(RangeError, match="master seed"):
+        GeoSimConfig(GEO, 10, 2, seed)
+    with pytest.raises(RangeError, match="master seed"):
+        MMSimConfig(MM, 10.0, 2, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_campaigns_run_at_both_seed_ends(seed):
+    # each replication equals a single run on numpy's own PCG64(substream seed)
+    seeds = [substream_seed(seed, i) for i in range(4)]
+    geo = replicate_max_length(GeoSimConfig(GEO, 200, 4, seed))
+    assert geo.seeds.tolist() == seeds
+    assert geo.samples.tolist() == [simulate_max_length(GEO, 200, s) for s in seeds]
+    mm = replicate_wait_maxima(MMSimConfig(MM, 200.0, 4, seed))
+    assert mm.max_sys.seeds.tolist() == seeds
+    details = [simulate_wait_detail(MM, 200.0, s) for s in seeds]
+    assert mm.customers.tolist() == [d.arrivals.size for d in details]
+    assert mm.max_sys.samples.tolist() == [d.wait_sys.max() if d.arrivals.size else 0.0
+                                           for d in details]
