@@ -176,7 +176,9 @@ def _geo_cdf_table(law, empirical=None):
     The range runs from the first k >= servers whose predicted CDF
     exp(scale * omega**k) reaches CDF_PROB_FLOOR to the first whose CDF
     reaches 1 - CDF_PROB_FLOOR. The CDF increases in k, so each end is
-    estimated from logs and settled on the exact values.
+    estimated from logs and settled on the exact values. A range longer than
+    CDF_POINTS rows keeps every stride-th k from the low end, plus the high
+    end, with the smallest stride that fits.
     """
     scale, omega = -law.beta * law.n, law.omega
 
@@ -189,7 +191,9 @@ def _geo_cdf_table(law, empirical=None):
         return k
 
     low = first_reaching(CDF_PROB_FLOOR, law.servers)
-    ks = range(low, first_reaching(1.0 - CDF_PROB_FLOOR, low) + 1)
+    high = first_reaching(1.0 - CDF_PROB_FLOOR, low)
+    stride = max(1, -(-(high - low) // (CDF_POINTS - 1)))  # integer ceiling
+    ks = [*range(low, high, stride), high]
     predicted = [exp(scale * omega**k) for k in ks]
     if empirical is None:
         return list(zip(ks, predicted))

@@ -1,15 +1,18 @@
 """Analytic pipeline for the discrete-time multi-server queue.
 
-Computes, in order: the geometric tail decay rate omega (fixed point of
-w = (qw+p)(rw+s)^c in (0,1)), the stationary distribution (boundary masses by
+Computes, in order: the geometric tail decay rate omega (the root in (0, 1)
+of the tail's cut balance, which is the fixed point w = (qw+p)(rw+s)^c with
+its root at 1 divided out), the stationary distribution (boundary masses by
 back-substitution against the geometric tail), the level hitting/return
 probabilities of the fully-busy random walk (via generating-function numerator
-conditions at selected denominator roots), and from those the clump rate
+conditions at selected denominator roots, the descent one at omega itself),
+and from those the clump rate
 
     beta = pi_c * (1 - nu0) / omega^(c-1)
 
 which drives the running-maximum law P{M_n <= k} ~ exp(-beta * n * omega^k)
-and its affine-in-ln(n) expected maximum.
+and its affine-in-ln(n) expected maximum. omega is computed once, by
+bisection to float resolution, and passed to the stationary law and to nu.
 """
 from __future__ import annotations
 
@@ -24,10 +27,7 @@ from .numerics import fixed_point_root, polynomial_roots, solve_linear_system
 from .params import GeoParams, increment_distribution
 from .stats import EULER_GAMMA
 
-OMEGA_BRACKET_DELTA = 1e-12
-OMEGA_TOL = 1e-13
 INTERIOR_MARGIN = 1e-9
-MODULUS_TIE_TOL = 1e-9
 IMAG_TOL = 1e-9
 
 
@@ -94,17 +94,31 @@ class GeoAnalysis:
 
 
 def decay_rate_omega(params: GeoParams) -> float:
-    """Unique root in (0, 1) of w = (qw+p)(rw+s)^c.
+    """Unique root in (0, 1) of the geometric tail's cut balance.
 
-    Under stability the bracket (delta, 1-delta) is valid: the fixed-point map
-    is convex increasing with value p*s^c > 0 at 0 and slope q + c*r > 1 at 1.
+    With X the fully-busy increment (support -c..1), the flows up and down
+    across a cut between tail levels balance when
+    P(X = +1) = sum_{k=1..c} P(X <= -k) w^k: the fixed point
+    w = (qw+p)(rw+s)^c with its root at 1 divided out, but with coefficients
+    that are sums of probabilities, so none cancels. Right side minus left
+    increases from -p*s^c < 0 at 0 to c*r - p > 0 at 1, so bisection on
+    [0, 1] keeps its bracket and runs to float resolution. Only within about
+    1e-15 of load 1 can rounding flip the sign at 1 (BracketError) or put
+    the root on 1 (DegenerateRootsError).
     """
-    p, q, r, s, c = params.p, params.q, params.r, params.s, params.c
+    probs = increment_distribution(params, params.c).probabilities
+    up, tails = float(probs[-1]), np.cumsum(probs[:-2]).tolist()  # P(X <= -k), k = c..1
 
-    def gap(w: float) -> float:
-        return w - (q * w + p) * (r * w + s) ** c
+    def balance(w: float) -> float:
+        acc = 0.0
+        for tail in tails:  # Horner, from the highest power
+            acc = (acc + tail) * w
+        return acc - up
 
-    return fixed_point_root(gap, OMEGA_BRACKET_DELTA, 1.0 - OMEGA_BRACKET_DELTA, OMEGA_TOL)
+    omega = fixed_point_root(balance, 0.0, 1.0)
+    if not 0.0 < omega < 1.0:
+        raise DegenerateRootsError(f"omega={omega} is not in (0, 1)")
+    return omega
 
 
 def _stationary_from_omega(params: GeoParams, omega: float):
@@ -155,31 +169,32 @@ def hitting_probabilities(params: GeoParams) -> NuRecord:
     G(z) are rational with known denominators. Analyticity forces the
     numerator N_F to vanish at z = 1 and at each denominator root inside the
     unit disk (exactly c-1 of them), and N_G to vanish at the smallest-modulus
-    root z4 of its denominator; that yields c+1 equations for c+1 unknowns,
-    solved over the complex field with imaginary parts required to vanish.
+    root of its denominator z (A(1/z) - 1). That root is omega, because
+    A(1/omega) = 1 is the cut balance, so it is not searched for again. The
+    c+1 equations in c+1 unknowns are solved over the complex field with
+    imaginary parts required to vanish.
     """
+    return _nu_from_omega(params, decay_rate_omega(params))
+
+
+def _nu_from_omega(params: GeoParams, omega: float) -> NuRecord:
+    """hitting_probabilities with the descent root omega already at hand."""
     c = params.c
     pmf = increment_distribution(params, c)  # alpha[-c..1] of the fully-busy walk
     alpha = dict(zip(pmf.support.tolist(), pmf.probabilities.tolist()))
     a_up, a_zero = alpha[1], alpha[0]
 
     # ascent denominator z^c (A(z) - 1), A the increment generating function:
-    # sum_m alpha_{-m} z^{c-m} - (1-alpha_0) z^c + alpha_1 z^{c+1}; the descent
-    # one, z (A(1/z) - 1), has the same coefficients in reverse order
+    # sum_m alpha_{-m} z^{c-m} - (1-alpha_0) z^c + alpha_1 z^{c+1}; a single
+    # server has no interior ascent roots to find
     df = pmf.probabilities.copy()
     df[c] -= 1.0
-    ascent_roots = polynomial_roots(_divide_out_root_at_one(df))
+    ascent_roots = polynomial_roots(_divide_out_root_at_one(df)) if c > 1 else []
     interior = [z for z in ascent_roots if abs(z) < 1.0 - INTERIOR_MARGIN]
     if len(interior) != c - 1:
         raise DegenerateRootsError(
             f"expected {c - 1} ascent-denominator roots inside the unit disk, "
             f"found {len(interior)} among {ascent_roots}")
-
-    descent_roots = sorted(polynomial_roots(_divide_out_root_at_one(df[::-1])), key=abs)
-    z4 = descent_roots[0]
-    if len(descent_roots) > 1 and abs(descent_roots[1]) - abs(z4) < MODULUS_TIE_TOL:
-        raise DegenerateRootsError(
-            f"smallest-modulus descent root is not unique: {descent_roots}")
 
     # unknown vector [nu0, nu_minus1, nu_1, ..., nu_{c-1}]
     def ascent_condition(z):
@@ -197,25 +212,14 @@ def hitting_probabilities(params: GeoParams) -> NuRecord:
             row[1 + i] = -sum(alpha[-m] * z ** (m + 1 - i) for m in range(i + 1, c + 1))
         return row, sum(alpha[-m] * z ** (m + 1) for m in range(1, c + 1))
 
-    rows, rhs = [], []
-    for z in [1.0, *interior]:
-        row, value = ascent_condition(z)
-        rows.append(row)
-        rhs.append(value)
-    row, value = descent_condition(z4)
-    rows.append(row)
-    rhs.append(value)
-
+    rows, rhs = zip(*[ascent_condition(z) for z in [1.0, *interior]], descent_condition(omega))
     solution = solve_linear_system(np.array(rows), np.array(rhs))
     if float(np.max(np.abs(solution.imag))) > IMAG_TOL:
         raise DegenerateRootsError(
             f"hitting probabilities came out complex: {solution}")
 
-    def settle(value: float) -> float:
-        # certain hits (single-server descent) may overshoot 1 by rounding
-        return 1.0 if 1.0 < value <= 1.0 + 1e-9 else value
-
-    real = [settle(float(v)) for v in solution.real]
+    # certain hits (single-server descent) may overshoot 1 by rounding
+    real = [1.0 if 1.0 < v <= 1.0 + 1e-9 else v for v in solution.real.tolist()]
     return NuRecord(real[0], real[1], tuple(real[2:]))
 
 
@@ -223,7 +227,7 @@ def analyze_geo(params: GeoParams) -> GeoAnalysis:
     """Run the full pipeline once and package the results."""
     omega = decay_rate_omega(params)
     boundary, pi_c = _stationary_from_omega(params, omega)
-    nu = hitting_probabilities(params)
+    nu = _nu_from_omega(params, omega)
     beta = pi_c * (1.0 - nu.nu0) / omega ** (params.c - 1)
     return GeoAnalysis(params, omega, boundary, pi_c, nu, beta)
 

@@ -226,6 +226,7 @@ def simulate_max_length(params: GeoParams, n: int, seed: int) -> int:
     """Maximum queue length observed over an n-step trajectory."""
     if n < 1:
         raise RangeError(f"horizon must be at least 1 step, got {n}")
+    check_master_seed(seed)
     peak, _ = _run_single(params, n, np.random.Generator(np.random.PCG64(seed)), [0, n])
     return peak
 
@@ -239,6 +240,7 @@ def time_average_queue_length(params: GeoParams, n: int, seed: int,
     """
     if n < batches or batches < 2:
         raise RangeError(f"need n >= batches >= 2, got n={n}, batches={batches}")
+    check_master_seed(seed)
     edges = [round(i * n / batches) for i in range(batches + 1)]
     gen = np.random.Generator(np.random.PCG64(seed))
     _, batch_sums = _run_single(params, n, gen, edges)

@@ -96,6 +96,7 @@ def _draw_customers(params: MMParams, n: float, gen: np.random.Generator):
 def simulate_wait_detail(params: MMParams, n: float, seed: int) -> WaitDetail:
     """One run with full per-customer arrays."""
     _check_interval(params, n)
+    check_master_seed(seed)
     return _wait_detail(params, n, np.random.Generator(np.random.PCG64(seed)))
 
 

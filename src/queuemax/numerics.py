@@ -1,5 +1,5 @@
 """Small numeric kernels on plain numpy arrays: complex polynomial roots, a
-dense complex linear solve, and guarded bisection.
+dense complex linear solve, and bisection to float resolution.
 
 Roots and solves come from numpy (np.roots, np.linalg.solve); what this module
 adds is the certificate around each: every root is residual-checked, every
@@ -94,17 +94,14 @@ def solve_linear_system(matrix, rhs) -> np.ndarray:
     return x
 
 
-def fixed_point_root(f: Callable[[float], float], lo: float, hi: float,
-                     tol: float) -> float:
-    """Root of a continuous scalar function by bisection.
+def fixed_point_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of a continuous scalar function by bisection to float resolution.
 
-    Requires a sign change on [lo, hi]; returns x with |f(x)| < tol and final
-    bracket width < tol. Convergence is guaranteed for any continuous f, which
-    is why bisection is used over anything faster. The loop ends at the latest
-    when the bracket holds no float between its ends.
+    Requires a sign change on [lo, hi]. Halves the bracket until no float lies
+    between its ends and returns the end where |f| is smaller. Convergence is
+    guaranteed for any continuous f, which is why bisection is used over
+    anything faster.
     """
-    if tol <= 0.0:
-        raise RangeError(f"tol must be positive, got {tol}")
     if not lo < hi:
         raise RangeError(f"need lo < hi, got [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
@@ -115,10 +112,8 @@ def fixed_point_root(f: Callable[[float], float], lo: float, hi: float,
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
 
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # bracket exhausted at float resolution
-            break
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         fmid = f(mid)
         if fmid == 0.0:
             return mid
@@ -126,11 +121,5 @@ def fixed_point_root(f: Callable[[float], float], lo: float, hi: float,
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-        if hi - lo < tol and min(abs(flo), abs(fhi)) < tol:
-            break
-
-    x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-    if hi - lo < tol and abs(fx) < tol:
-        return x
-    raise ConvergenceError(
-        f"bisection stalled: bracket width {hi - lo}, |f| {abs(fx)}, tol {tol}")
+        mid = 0.5 * (lo + hi)
+    return lo if abs(flo) <= abs(fhi) else hi

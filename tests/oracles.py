@@ -3,13 +3,14 @@
 Deliberately built on different machinery than the library paths they check:
 dense numpy linear algebra for stationary vectors, direct Monte Carlo for
 hitting probabilities, Cardano's formula for the three-server decay rate,
-scan+bisection for real polynomial roots, and for the continuous queue a
+exact rational arithmetic for the decay rate at heavy traffic, scan+bisection for real polynomial roots, and for the continuous queue a
 truncated birth-death chain plus Little's law and a per-server scan for FIFO
 service starts. The `geo` stream's reference walks each slot's cumulative
 increment law in plain Python, without the simulator's decode table.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import inf, sqrt
 from typing import Optional
 
@@ -65,6 +66,27 @@ def decay_rate_omega_closed_form(params: GeoParams) -> Optional[float]:
     return ((-3.0 + 2.0 * r + 3.0 * p * s)
             + (3.0 * q - r) * r * cbrt(2.0 / (chi + theta))
             - cbrt((chi + theta) / 2.0)) / (3.0 * q * r)
+
+
+def omega_by_exact_bisection(params: GeoParams, bits: int = 80) -> Fraction:
+    """The root in (0, 1) of w = (qw+p)(rw+s)^c, in exact rational arithmetic.
+
+    p and r are the exact values of their floats, with q = 1-p and s = 1-r
+    exactly. The gap w - (qw+p)(rw+s)^c is negative on (0, omega) and
+    positive on (omega, 1); computed exactly, it cannot cancel near its root
+    at 1, so bisection of its sign is an independent check on the float
+    cut balance. Returns the middle of a bracket 2^-bits wide.
+    """
+    p, r = Fraction(params.p), Fraction(params.r)
+    q, s = 1 - p, 1 - r
+    lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > Fraction(1, 2**bits):
+        mid = (lo + hi) / 2
+        if mid - (q * mid + p) * (r * mid + s) ** params.c < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def mc_hitting_probability(params: GeoParams, start: int, walks: int, seed: int,

@@ -12,7 +12,8 @@ import pytest
 
 import queuemax
 from queuemax import ECDF, MaxLengthLaw, summarize
-from queuemax.cli import CDF_PROB_FLOOR, _atomic_write, _geo_cdf_table, main, parse_number
+from queuemax.cli import (CDF_POINTS, CDF_PROB_FLOOR, _atomic_write, _geo_cdf_table, main,
+                          parse_number)
 
 
 def read_json(path):
@@ -131,20 +132,48 @@ def scanned_cdf_table(law):
     return rows
 
 
+def thinned(rows):
+    """The scan as the table caps it: every stride-th row from the first, plus the last,
+    with the smallest stride that leaves at most CDF_POINTS rows."""
+    stride = max(1, -(-(len(rows) - 1) // (CDF_POINTS - 1)))
+    return rows[:-1:stride] + rows[-1:]
+
+
 class TestGeoCdfTable:
     @pytest.mark.parametrize("omega,beta,n,servers", [
         (0.5744080010, 0.07, 1e4, 3),
         (0.5, 1.0, 1e5, 1),
         (0.9, 0.01, 1e5, 2),
-        (0.999, 0.3, 1e6, 1),        # heavy traffic: about 24000 rows
-        (1.0 - 1e-12, 1e-15, 1e5, 1),  # omega at the end of its bracket: one row
+        (0.999, 0.3, 1e6, 1),        # heavy traffic: a scan of about 24000 rows
+        (1.0 - 1e-12, 1e-15, 1e5, 1),  # one row
         (0.5, 5e-324, 1.0, 1),        # beta at the bottom of the doubles
         (1e-300, 1e300, 1e5, 3),
         (0.5, 1326.28901356457, 1.0, 1),  # the log estimate of the first row is one too high
     ])
-    def test_matches_row_by_row_scan(self, omega, beta, n, servers):
+    def test_matches_thinned_row_by_row_scan(self, omega, beta, n, servers):
         law = MaxLengthLaw(omega, beta, n, servers)
-        assert _geo_cdf_table(law) == scanned_cdf_table(law)
+        scan = scanned_cdf_table(law)
+        table = _geo_cdf_table(law)
+        assert table == thinned(scan)
+        assert len(table) <= CDF_POINTS
+        assert (table[0], table[-1]) == (scan[0], scan[-1])
+        if len(scan) <= CDF_POINTS:
+            assert table == scan
+
+    @pytest.mark.parametrize("omega,beta,n,servers", [
+        (1.0 - 1e-9, 1e-10, 1e5, 1),  # a scan of about 2.4e10 rows
+        (0.9999999, 0.3, 1e6, 3),
+    ])
+    def test_heavy_traffic_table_capped_at_scan_ends(self, omega, beta, n, servers):
+        # too long to scan: each end is the first k past its level
+        law = MaxLengthLaw(omega, beta, n, servers)
+        table = _geo_cdf_table(law)
+        assert len(table) == CDF_POINTS
+        (low, first), (high, last) = table[0], table[-1]
+        assert first >= CDF_PROB_FLOOR and (low == servers or law.cdf(low - 1) < CDF_PROB_FLOOR)
+        assert last >= 1.0 - CDF_PROB_FLOOR > law.cdf(high - 1)
+        steps = {b[0] - a[0] for a, b in zip(table[:-2], table[1:-1])}
+        assert len(steps) == 1 and 0 < high - table[-2][0] <= steps.pop()
 
     def test_empirical_column(self):
         law = MaxLengthLaw(0.5, 1.0, 1e3, 1)

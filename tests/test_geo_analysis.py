@@ -1,5 +1,5 @@
 """Analytic pipeline for the discrete queue, checked against independent oracles."""
-from math import log
+from math import log, ulp
 
 import numpy as np
 import pytest
@@ -12,9 +12,10 @@ from queuemax import (BracketError, ConvergenceError, DegenerateRootsError,
                       expected_max_length, hitting_probabilities,
                       increment_distribution, max_length_law, mean_queue_length,
                       stationary_distribution, validate_geo_params)
+from queuemax.geo_analysis import _stationary_from_omega
 from oracles import (decay_rate_omega_closed_form, mc_hitting_probability,
-                     nu_minus1_by_ladder_heights, truncated_stationary_vector,
-                     truncated_transition_matrix)
+                     nu_minus1_by_ladder_heights, omega_by_exact_bisection,
+                     truncated_stationary_vector, truncated_transition_matrix)
 
 REFERENCE = validate_geo_params(1 / 3, 1 / 6, 3)
 FAST_SINGLE = validate_geo_params(1 / 3, 1 / 2, 1)
@@ -27,6 +28,12 @@ NU_REF = {"nu0": 0.8437587438, "nu_minus1": 0.9309681530,
 BETA_REF = 0.0841657058
 SLOPE_REF = 1.8037019224
 INTERCEPT_REF = -2.9229790566
+
+# (c, r, load) points of the benchmark's analyze sweep (p = load*c*r) with slack
+# c*r - p below 1e-3, where w - (qw+p)(rw+s)^c cancels to rounding near w = 1
+HEAVY_TRAFFIC = [(1, 0.1, 0.9999), (1, 0.45, 0.9999), (2, 0.1, 0.9999), (2, 0.45, 0.9999),
+                 (3, 0.1, 0.9999), (1, 0.1, 0.999), (1, 0.2, 0.9999), (1, 0.75, 0.9999),
+                 (2, 0.1, 0.999), (3, 0.2, 0.9999)]
 
 
 def sampled_region(c, count=5):
@@ -54,6 +61,23 @@ class TestDecayRate:
             residual = omega - (params.q * omega + p) * (params.r * omega + params.s) ** c
             assert abs(residual) < 1e-12
             assert 0.0 < omega < 1.0
+
+    @pytest.mark.parametrize("p,r", [(0.00099, 0.001), (0.0999, 0.1), (0.2, 0.5), (1 / 3, 1 / 2),
+                                     (0.55, 0.8), (0.5, 0.5000001), (1e-300, 0.5)])
+    def test_single_server_closed_form_to_two_ulp(self, p, r):
+        # c = 1: the cut balance q r w = p s is linear in w
+        params = validate_geo_params(p, r, 1)
+        closed = params.p * params.s / (params.q * params.r)
+        assert abs(decay_rate_omega(params) - closed) <= 2 * ulp(closed)
+
+    @pytest.mark.parametrize("c,r,load", HEAVY_TRAFFIC)
+    def test_heavy_traffic_matches_exact_rational_root(self, c, r, load):
+        params = validate_geo_params(load * c * r, r, c)
+        analysis = analyze_geo(params)
+        exact = float(omega_by_exact_bisection(params))
+        assert abs(analysis.omega - exact) <= 4 * ulp(exact)
+        total = sum(analysis.pi_boundary) + analysis.pi_c / (1.0 - analysis.omega)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_cross_check(self):
         closed = decay_rate_omega_closed_form(REFERENCE)
@@ -104,13 +128,21 @@ class TestStationaryDistribution:
         assert float(np.max(np.abs(ours - oracle))) < 1e-9
 
     def test_masses_outside_unit_interval_rejected(self):
-        # omega stops at the end of its bisection bracket here, and the law
-        # built on it has pi_0 = -7.8e-13 and a mean queue length of 1e12
+        # omega off its root: the law built on 1 - 1e-12 has pi_0 = -7.8e-13
         params = validate_geo_params(1.5e-5, 1e-5, 3)
         with pytest.raises(DegenerateRootsError):
-            stationary_distribution(params)
-        with pytest.raises(DegenerateRootsError):
-            mean_queue_length(params)
+            _stationary_from_omega(params, 1 - 1e-12)
+
+    def test_small_rates_give_a_valid_law(self):
+        # slack c*r - p = 1.5e-5, and the fixed-point gap about as small near w = 1
+        params = validate_geo_params(1.5e-5, 1e-5, 3)
+        omega = decay_rate_omega(params)
+        boundary, pi_c = stationary_distribution(params)
+        assert sum(boundary) + pi_c / (1.0 - omega) == pytest.approx(1.0, abs=1e-12)
+        ours = np.array([*boundary, *(pi_c * omega**j for j in range(401 - params.c))])
+        assert float(np.max(np.abs(ours - truncated_stationary_vector(params, 401)))) < 1e-8
+        # omega is near 1/2, so 401 states hold the whole mean to rounding
+        assert mean_queue_length(params) == pytest.approx(float(np.arange(401) @ ours), rel=1e-12)
 
     def test_stationarity_residual_of_full_vector(self):
         matrix = truncated_transition_matrix(REFERENCE, 401)
@@ -147,6 +179,12 @@ class TestHittingProbabilities:
             assert nu.nu_up[0] == pytest.approx(omega, abs=1e-8)
             assert nu.nu_up[1] == pytest.approx(omega**2, abs=1e-8)
 
+    def test_first_ascent_probability_is_omega_at_light_load(self):
+        # the solve's nu_1 and the bisected omega are the same number two ways
+        params = validate_geo_params(0.05, 0.95, 3)
+        assert hitting_probabilities(params).nu_up[0] == pytest.approx(
+            decay_rate_omega(params), rel=1e-13, abs=0.0)
+
     def test_skip_free_identity_two_servers(self):
         for p, r in sampled_region(2):
             params = validate_geo_params(p, r, 2)
@@ -161,8 +199,7 @@ class TestHittingProbabilities:
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_descent_and_return_match_ladder_heights(self, c):
-        # heavy traffic: r = 0.25 and 0.3 avoid the recorded bracket defects at loads 0.999, 0.9999
-        heavy = [(load * c * r, r) for load in (0.999, 0.9999) for r in (0.25, 0.3)]
+        heavy = [(load * c * r, r) for load in (0.999, 0.9999) for r in (0.1, 0.25, 0.3)]
         for p, r in sampled_region(c) + heavy:
             params = validate_geo_params(p, r, c)
             omega = decay_rate_omega(params)
@@ -307,8 +344,10 @@ UNIT = (st.floats(-16.0, 0.0, exclude_max=True).map(lambda e: 10.0**e)
 
 @settings(max_examples=400, deadline=None)
 @given(c=st.sampled_from([1, 2, 3]), r=UNIT, load=UNIT)
-@example(c=3, r=1e-5, load=0.5)  # omega at its bracket end: masses outside (0, 1)
-@example(c=1, r=0.1, load=0.9999)  # the omega gap cancels: BracketError
+@example(c=3, r=1e-5, load=0.5)  # nu's division by 1 - z fails its remainder check
+@example(c=1, r=0.1, load=0.9999)  # heavy traffic: a certified analysis
+@example(c=1, r=0.1, load=1e-15)  # no ascent roots to find, so no degree-0 polynomial
+@example(c=2, r=1e-16, load=1 - 1e-16)  # omega rounds to 1: DegenerateRootsError
 def test_analysis_returns_or_raises_a_numeric_error(c, r, load):
     """The library contract on every valid input: a certified analysis, or one
     of the numeric errors the command line maps to exit code 3."""

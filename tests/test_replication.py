@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from queuemax import (GeoSimConfig, MMSimConfig, RangeError, replicate_max_length,
                       replicate_wait_maxima, simulate_max_length, simulate_wait_detail,
-                      substream_generator, substream_seed, validate_geo_params,
-                      validate_mm_params)
+                      substream_generator, substream_seed, time_average_queue_length,
+                      validate_geo_params, validate_mm_params)
 from queuemax.replication import _HashedSeed, seed_sequence_words, substream_generators
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -92,6 +92,25 @@ def test_configs_refuse_seeds_outside_64_bits(seed):
         GeoSimConfig(GEO, 10, 2, seed)
     with pytest.raises(RangeError, match="master seed"):
         MMSimConfig(MM, 10.0, 2, seed)
+
+
+@pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**70])
+def test_single_runs_refuse_seeds_outside_64_bits(seed):
+    with pytest.raises(RangeError, match="master seed"):
+        simulate_max_length(GEO, 50, seed)
+    with pytest.raises(RangeError, match="master seed"):
+        time_average_queue_length(GEO, 200, seed, batches=10)
+    with pytest.raises(RangeError, match="master seed"):
+        simulate_wait_detail(MM, 10.0, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_single_runs_accept_both_seed_ends(seed):
+    assert 0 <= simulate_max_length(GEO, 50, seed) <= 50
+    mean, se = time_average_queue_length(GEO, 200, seed, batches=10)
+    assert mean >= 0.0 and se >= 0.0
+    detail = simulate_wait_detail(MM, 10.0, seed)
+    assert detail.wait_sys.size == detail.arrivals.size
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
