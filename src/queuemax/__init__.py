@@ -24,7 +24,7 @@ from .mm_analysis import (MM1Asymptotics, MMParams, expected_max_wait_mm1,
 from .mm_sim import (MMSimConfig, WaitDetail, WaitSimResult, assign_service_starts,
                      replicate_wait_maxima, simulate_wait_detail)
 from .numerics import fixed_point_root, polynomial_roots, solve_linear_system
-from .params import GeoParams, IncrementPMF, increment_distribution, validate_geo_params
+from .params import GeoParams, increment_distribution, validate_geo_params
 from .replication import (PRNG_ALGORITHM, SEED_DERIVATION, SimResult,
                           substream_generator, substream_seed)
 from .stats import (ECDF, EULER_GAMMA, GumbelParams, SampleSummary,
@@ -37,7 +37,7 @@ __all__ = [
     "ConvergenceError", "SingularError", "BracketError", "DegenerateRootsError",
     "DegenerateSampleError", "HeuristicRangeWarning",
     # discrete-queue parameters and increments
-    "GeoParams", "IncrementPMF", "validate_geo_params", "increment_distribution",
+    "GeoParams", "validate_geo_params", "increment_distribution",
     # numeric kernels
     "polynomial_roots", "solve_linear_system", "fixed_point_root",
     # discrete-queue analytics

@@ -106,7 +106,7 @@ def decay_rate_omega(params: GeoParams) -> float:
     1e-15 of load 1 can rounding flip the sign at 1 (BracketError) or put
     the root on 1 (DegenerateRootsError).
     """
-    probs = increment_distribution(params, params.c).probabilities
+    probs = increment_distribution(params)[params.c]
     up, tails = float(probs[-1]), np.cumsum(probs[:-2]).tolist()  # P(X <= -k), k = c..1
 
     def balance(w: float) -> float:
@@ -126,10 +126,10 @@ def _stationary_from_omega(params: GeoParams, omega: float):
     of columns c..1 against the geometric tail pi_j = omega^(j-c) pi_c.
     Raises DegenerateRootsError for a mass outside (0, 1), as omega off its root gives."""
     c = params.c
-    pmfs = [increment_distribution(params, busy) for busy in range(c + 1)]
+    rows = increment_distribution(params).tolist()
 
     def trans(j: int, k: int) -> float:
-        return pmfs[min(j, c)].prob(k - j)
+        return rows[min(j, c)][c + k - j]
 
     ratio = {j: omega ** (j - c) for j in range(c, 2 * c + 2)}  # pi_j / pi_c
     for k in range(c, 0, -1):
@@ -180,14 +180,14 @@ def hitting_probabilities(params: GeoParams) -> NuRecord:
 def _nu_from_omega(params: GeoParams, omega: float) -> NuRecord:
     """hitting_probabilities with the descent root omega already at hand."""
     c = params.c
-    pmf = increment_distribution(params, c)  # alpha[-c..1] of the fully-busy walk
-    alpha = dict(zip(pmf.support.tolist(), pmf.probabilities.tolist()))
+    law = increment_distribution(params)[c]  # alpha[-c..1] of the fully-busy walk
+    alpha = dict(enumerate(law.tolist(), -c))
     a_up, a_zero = alpha[1], alpha[0]
 
     # ascent denominator z^c (A(z) - 1), A the increment generating function:
     # sum_m alpha_{-m} z^{c-m} - (1-alpha_0) z^c + alpha_1 z^{c+1}; a single
     # server has no interior ascent roots to find
-    df = pmf.probabilities.copy()
+    df = law.copy()
     df[c] -= 1.0
     ascent_roots = polynomial_roots(_divide_out_root_at_one(df)) if c > 1 else []
     interior = [z for z in ascent_roots if abs(z) < 1.0 - INTERIOR_MARGIN]

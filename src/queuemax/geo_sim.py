@@ -2,7 +2,7 @@
 
 Each slot takes one uniform U from the replication's own PCG64 stream. With
 k = min(u, c) busy servers, the queue length moves by the inverse CDF of the
-increment law F_k = `increment_distribution(params, k)` at U:
+increment law F_k, row k of `increment_distribution(params)`, at U:
 
     u <- u + inc[k],  inc[k] = F_k^{-1}(U)
 
@@ -92,12 +92,9 @@ def _decode_table(params: GeoParams):
     sums t' so that inc[k-1] - 1 <= inc[k] <= inc[k-1] holds exactly. In
     bucket b, inc[k] is 1 minus the number of law k's sums <= t_b.
     """
-    laws = []
-    for k in range(params.c + 1):
-        sums, total = [], 0.0
-        for prob in increment_distribution(params, k).probabilities[:0:-1].tolist():
-            total += prob
-            sums.append(total)
+    c, laws = params.c, []
+    for k, row in enumerate(increment_distribution(params)):
+        sums = np.cumsum(row[c + 1:c - k:-1]).tolist()  # steps +1 down to 1 - k
         if laws:
             lower, upper = [-inf, *laws[-1]], [*laws[-1], inf]
             sums = [min(max(s, low), high) for s, low, high in zip(sums, lower, upper)]

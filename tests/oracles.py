@@ -22,11 +22,12 @@ from queuemax import GeoParams, UnsupportedError, increment_distribution
 def truncated_transition_matrix(params: GeoParams, size: int) -> np.ndarray:
     """Dense transition matrix on states 0..size-1, overflow mass absorbed at the top."""
     c = params.c
+    table = increment_distribution(params)
     matrix = np.zeros((size, size))
     for state in range(size):
-        pmf = increment_distribution(params, min(state, c))
-        for step, prob in zip(pmf.support, pmf.probabilities):
-            target = min(max(state + int(step), 0), size - 1)
+        busy = min(state, c)
+        for step, prob in enumerate(table[busy, c - busy:], -busy):
+            target = min(max(state + step, 0), size - 1)
             matrix[state, target] += prob
     return matrix
 
@@ -98,9 +99,8 @@ def mc_hitting_probability(params: GeoParams, start: int, walks: int, seed: int,
     Returns (estimate, standard error).
     """
     rng = np.random.default_rng(seed)
-    pmf = increment_distribution(params, params.c)
-    steps = pmf.support.astype(np.int64)
-    cumulative = np.cumsum(pmf.probabilities)
+    steps = np.arange(-params.c, 2)
+    cumulative = np.cumsum(increment_distribution(params)[params.c])
     position = np.full(walks, start, dtype=np.int64)
     hit = np.zeros(walks, dtype=bool)
     active = np.ones(walks, dtype=bool)
@@ -208,8 +208,9 @@ def geo_max_by_recursion(p: float, r: float, c: int, n: int, gen: np.random.Gene
     params = GeoParams(p, r, c)
     edges = [0, n] if edges is None else list(edges)
     laws = []
+    table = increment_distribution(params)
     for busy in range(c + 1):
-        probabilities = increment_distribution(params, busy).probabilities.tolist()
+        probabilities = table[busy, c - busy:].tolist()  # steps -busy..+1
         running, cumulative = 0.0, []
         for prob in reversed(probabilities[1:]):  # +1, 0, ..., 1 - busy
             running += prob
@@ -250,7 +251,7 @@ def nu_minus1_by_ladder_heights(params: GeoParams, omega: float) -> float:
     nu_{-1} = sum_{j >= 1} h_j omega^(j-1) / (1 - h_0). No root finding, no solve.
     """
     c = params.c
-    coeffs = -increment_distribution(params, c).probabilities
+    coeffs = -increment_distribution(params)[c]
     coeffs[c] += 1.0
     quotient = []
     for coeff in coeffs[:c + 1]:

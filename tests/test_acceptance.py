@@ -95,8 +95,7 @@ def test_criterion_05_oracle_equivalence():
     stationarity_gap = float(np.max(np.abs(full @ matrix - full)))
 
     # recursion residual with nu_3 := omega^3 (and nu_4 := omega^4)
-    pmf = increment_distribution(GEO3, 3)
-    alpha = {int(k): float(v) for k, v in zip(pmf.support, pmf.probabilities)}
+    alpha = dict(enumerate(increment_distribution(GEO3)[3].tolist(), -3))
     omega, nu = analysis.omega, analysis.nu
     chain = [1.0, nu.nu_up[0], nu.nu_up[1], omega**3, omega**4]
     recursion_gap = abs(chain[1] - sum(alpha[1 - m] * chain[m] for m in range(5)))

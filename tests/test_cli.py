@@ -12,8 +12,8 @@ import pytest
 
 import queuemax
 from queuemax import ECDF, MaxLengthLaw, summarize
-from queuemax.cli import (CDF_POINTS, CDF_PROB_FLOOR, _atomic_write, _geo_cdf_table, main,
-                          parse_number)
+from queuemax.cli import (CDF_POINTS, CDF_PROB_FLOOR, _atomic_write, _geo_cdf_table,
+                          console_main, main, parse_number)
 
 
 def read_json(path):
@@ -369,6 +369,15 @@ class TestCompare:
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         assert main(["analyze", "geo", "--p", "0.1", "--r", "0.2", "--c", "3"]) == 0
+
+    @pytest.mark.parametrize("servers,code", [("3", 0), ("0", 2)])
+    def test_console_entry_exits_with_main_code(self, servers, code, monkeypatch, capsys):
+        argv = ["analyze", "geo", "--p", "0.1", "--r", "0.2", "--c", servers]
+        assert main(argv) == code
+        monkeypatch.setattr(sys, "argv", ["queuemax", *argv])
+        with pytest.raises(SystemExit) as info:
+            console_main()
+        assert info.value.code == code
 
     def test_validation_is_two(self, capsys):
         assert main(["analyze", "mm", "--lambda", "2", "--mu", "0.5", "--c", "1"]) == 2

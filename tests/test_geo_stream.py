@@ -25,6 +25,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import queuemax.geo_sim as geo_sim
+from queuemax.params import MAX_SERVERS
 from queuemax import (GeoSimConfig, increment_distribution, replicate_max_length,
                       simulate_max_length, substream_generator, time_average_queue_length,
                       validate_geo_params)
@@ -142,7 +143,7 @@ EDGE_RATES = [1e-9, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-9]
 @st.composite
 def _decode_params(draw):
     """(p, r, c) with r at the ends of (0, 1) and p near c*r or near 0, or anywhere."""
-    c = draw(st.sampled_from([1, 2, 3]))
+    c = draw(st.sampled_from(range(1, MAX_SERVERS + 1)))
     r = draw(st.sampled_from(EDGE_RATES) | st.floats(1e-12, 1 - 1e-12))
     top = min(c * r, 1.0)
     share = draw(st.sampled_from([1e-300, 1e-12, 1e-6, 1 - 1e-6, 1 - 1e-9, 1 - 1e-15])
@@ -162,15 +163,27 @@ def test_decode_table_reproduces_each_law(params):
     assert table.shape == (len(cuts) + 1, params.c + 1)
     assert np.all(np.diff(cuts) > 0.0)
     widths = np.diff(np.clip([0.0, *cuts, 1.0], 0.0, 1.0))
-    for k in range(params.c + 1):
-        law = increment_distribution(params, k)
+    c = params.c
+    for k, law in enumerate(increment_distribution(params)):
         got = np.bincount(1 - table[:, k], weights=widths, minlength=k + 2)
-        assert np.allclose(got[::-1], law.probabilities, rtol=0.0, atol=1e-15)
+        assert np.allclose(got[::-1], law[c - k:], rtol=0.0, atol=1e-15)
     drops = -np.diff(table, axis=1)  # inc[k-1] - inc[k] in every bucket
     assert np.all((drops == 0) | (drops == 1))
     if params.c == 1:
         arrival_less_step = table[:, 0] - table[:, 1]
         assert np.all((0 <= arrival_less_step) & (arrival_less_step <= 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_decode_params())
+def test_scaled_buckets_fit_int8(params):
+    # _gather_maxima stores bucket * (c+1) in int8, and np.multiply wraps silently;
+    # law k adds k+1 partial sums, so at most (c+1)(c+2)/2 cuts
+    c = params.c
+    cuts, _ = geo_sim._decode_table(params)
+    assert len(cuts) <= (c + 1) * (c + 2) // 2
+    top = MAX_SERVERS + 1
+    assert top * (top + 1) // 2 * top <= np.iinfo(np.int8).max
 
 
 if __name__ == "__main__":

@@ -17,8 +17,7 @@ def f_denominator_cubic(params):
     """Cubic factor of the ascent generating-function denominator."""
     from queuemax import increment_distribution
     c = params.c
-    pmf = increment_distribution(params, c)
-    alpha = {int(k): float(v) for k, v in zip(pmf.support, pmf.probabilities)}
+    alpha = dict(enumerate(increment_distribution(params)[c].tolist(), -c))
     quartic = np.zeros(c + 2)
     for m in range(1, c + 1):
         quartic[c - m] += alpha[-m]

@@ -51,7 +51,7 @@ class TestIncrementDistribution:
     def test_fully_busy_three_servers_matches_polynomials(self):
         params = validate_geo_params(1 / 3, 1 / 6, 3)
         p, q, r, s = params.p, params.q, params.r, params.s
-        pmf = increment_distribution(params, 3)
+        law = increment_distribution(params)[3]
         expected = {
             -3: q * r**3,
             -2: p * r**3 + 3 * q * r**2 * s,
@@ -60,57 +60,56 @@ class TestIncrementDistribution:
             1: p * s**3,
         }
         for step, value in expected.items():
-            assert pmf.prob(step) == pytest.approx(value, abs=1e-15)
-        assert pmf.prob(-3) == pytest.approx(1 / 324, abs=1e-15)
+            assert law[3 + step] == pytest.approx(value, abs=1e-15)
+        assert law[0] == pytest.approx(1 / 324, abs=1e-15)
 
     def test_two_busy_servers_matches_matrix_row(self):
         params = validate_geo_params(1 / 3, 1 / 6, 3)
         p, q, r, s = params.p, params.q, params.r, params.s
-        pmf = increment_distribution(params, 2)
+        law = increment_distribution(params)[2]
         expected = {
+            -3: 0.0,
             -2: q * r**2,
             -1: p * r**2 + 2 * q * r * s,
             0: 2 * p * r * s + q * s**2,
             1: p * s**2,
         }
         for step, value in expected.items():
-            assert pmf.prob(step) == pytest.approx(value, abs=1e-15)
+            assert law[3 + step] == pytest.approx(value, abs=1e-15)
 
     def test_one_busy_server_matches_matrix_row(self):
         params = validate_geo_params(1 / 3, 1 / 6, 3)
         p, q, r, s = params.p, params.q, params.r, params.s
-        pmf = increment_distribution(params, 1)
-        assert pmf.prob(-1) == pytest.approx(q * r, abs=1e-15)
-        assert pmf.prob(0) == pytest.approx(p * r + q * s, abs=1e-15)
-        assert pmf.prob(1) == pytest.approx(p * s, abs=1e-15)
+        law = increment_distribution(params)[1]
+        assert law.tolist()[:2] == [0.0, 0.0]
+        assert law[2] == pytest.approx(q * r, abs=1e-15)
+        assert law[3] == pytest.approx(p * r + q * s, abs=1e-15)
+        assert law[4] == pytest.approx(p * s, abs=1e-15)
 
     def test_empty_queue_row(self):
         params = validate_geo_params(0.42, 0.7, 2)
-        pmf = increment_distribution(params, 0)
-        assert pmf.prob(1) == pytest.approx(params.p, abs=1e-15)
-        assert pmf.prob(0) == pytest.approx(params.q, abs=1e-15)
-        assert pmf.support.tolist() == [0, 1]
+        law = increment_distribution(params)[0]
+        assert law[3] == pytest.approx(params.p, abs=1e-15)
+        assert law[2] == pytest.approx(params.q, abs=1e-15)
+        assert law.tolist()[:2] == [0.0, 0.0]
 
     @pytest.mark.parametrize("p,r,c", stable_grid())
     def test_pmf_sums_to_one_everywhere(self, p, r, c):
-        params = validate_geo_params(p, r, c)
-        for busy in range(c + 1):
-            pmf = increment_distribution(params, busy)
-            assert abs(float(pmf.probabilities.sum()) - 1.0) < 1e-12
-            assert pmf.support.size == busy + 2
-            assert np.all(pmf.probabilities >= 0.0)
+        table = increment_distribution(validate_geo_params(p, r, c))
+        assert table.shape == (c + 1, c + 2)
+        assert np.all(np.abs(table.sum(axis=1) - 1.0) < 1e-12)
+        assert np.all(table >= 0.0)
+        for busy in range(c + 1):  # no step below -busy
+            assert not table[busy, :c - busy].any()
 
     @pytest.mark.parametrize("p,r,c", stable_grid())
     def test_fully_busy_mean_is_net_drift(self, p, r, c):
         params = validate_geo_params(p, r, c)
-        pmf = increment_distribution(params, c)
-        drift = pmf.mean()
+        drift = float(np.dot(np.arange(-c, 2), increment_distribution(params)[c]))
         assert drift == pytest.approx(p - c * r, abs=1e-14)
         assert drift < 0.0
 
-    def test_busy_out_of_range(self):
-        params = validate_geo_params(0.1, 0.3, 2)
-        with pytest.raises(RangeError):
-            increment_distribution(params, 3)
-        with pytest.raises(RangeError):
-            increment_distribution(params, -1)
+    def test_table_is_read_only(self):
+        table = increment_distribution(validate_geo_params(0.1, 0.3, 2))
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
