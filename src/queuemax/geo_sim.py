@@ -33,9 +33,13 @@ chunks leave every sample unchanged: a run is fixed by its seeds alone.
   it needs no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t,
   a_t) (Lindley 1952), so with S = cumsum(inc[1]) over a block,
   u = S + max(u_0, maximum.accumulate(a - S)); u is carried across blocks.
-  At c >= 2 it keeps one slot loop over all replications, with the
-  pre-scaled buckets transposed time-major, so each slot is a single gather
-  from the flat table at b + min(u, c).
+  At c >= 2 it steps L slots at a time over all replications: a slot adds
+  inc[min(u, c)], a pure shift once u >= c, so over L slots every start
+  u >= cL moves alike, and `_walk_tables` tabulates the change in u and the
+  highest u reached for every start min(u, cL) and every combination of the
+  L slots' buckets. Each replication's buckets are combined into int16 group
+  indices, and each group costs two gathers; a block's last (slots mod L)
+  slots take the tables of that shorter walk. L is 4 at c = 2, 3 at c = 3.
 
 All paths give identical maxima for a seed; `tests/test_geo_stream.py` pins
 them to recorded samples and to a plain per-slot reference.
@@ -55,7 +59,7 @@ from .replication import (SimResult, check_master_seed, make_sim_result, substre
 BLOCK = 512        # slots per generator call (performance only: the stream does not depend on it)
 REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
 DRAW_CHUNK = 64    # replications drawn and bucketed together (performance only)
-SLOT_CHUNK = 64    # slots of the c >= 2 gather widened to intp together (performance only)
+INDEX_MAX = np.iinfo(np.int16).max  # the largest group index the c >= 2 walk stores
 STATE_CAP = 2**30  # tripwire: maxima are O(ln n), so this can only mean a bug
 INCREMENT_METHOD = "one uniform per slot, inverse CDF from +1 down"  # recorded in manifests
 
@@ -189,32 +193,64 @@ def _lindley_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
     return peak
 
 
+def _walk_tables(c: int, table):
+    """The walk of u over k = 0..L slots from each start state, one flat table per k.
+
+    walks[k] = (delta, top). For the buckets b_0..b_{k-1} of k slots in a row,
+    g = sum_i b_i (m+1)^i, and s = min(u, cL): delta[g*S + s] is the change in
+    u over the k slots and top[g*S + s] the highest u among the start and those
+    slots, less the start (S = cL + 1). No walk of k <= L slots from u >= cL
+    falls below c before its last slot, so all such starts move alike. L is
+    the largest group with S (m+1)^L - 1 <= INDEX_MAX, so each g*S fits int16.
+    """
+    table, radix = table.astype(np.intp), len(table)
+    group = 0
+    while (c * (group + 1) + 1) * radix ** (group + 1) - 1 <= INDEX_MAX:
+        group += 1
+    start = np.arange(c * group + 1)
+    delta = top = np.zeros((1, len(start)), dtype=np.intp)
+    walks = [(delta.ravel(), top.ravel())]
+    for _ in range(group):  # each added slot's bucket is the most significant digit of g
+        moved = delta + table[:, np.minimum(start + delta, c)]
+        top = np.maximum(top, moved).reshape(-1, len(start))
+        delta = moved.reshape(-1, len(start))
+        walks.append((delta.ravel(), top.ravel()))
+    return walks
+
+
 def _gather_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
-    """c >= 2: one gather per slot from the flat table at the time-major scaled buckets."""
+    """c >= 2: L slots per step, u += delta[g*S + min(u, cL)], from `_walk_tables`."""
     c = params.c
     cuts, table = _decode_table(params)
-    flat = table.ravel().astype(np.intp)  # intp operands throughout keep each slot's calls fast
+    walks = _walk_tables(c, table)
+    group, cap = len(walks) - 1, c * (len(walks) - 1)
+    weights = ((cap + 1) * len(table) ** np.arange(group)).astype(np.int16)
     count = len(gens)
-    scaled = np.empty((min(BLOCK, n), count), dtype=np.int8)  # b * (c+1) <= 40 at c <= 3
-    wide = np.empty((min(SLOT_CHUNK, BLOCK, n), count), dtype=np.intp)
+    grouped = np.empty((-(-min(BLOCK, n) // group), count), dtype=np.int16)
+    caps = np.full(count, cap, dtype=np.intp)
     u = np.zeros(count, dtype=np.intp)
     peak = np.zeros(count, dtype=np.intp)
     index = np.empty(count, dtype=np.intp)
     step = np.empty(count, dtype=np.intp)
+    high = np.empty(count, dtype=np.intp)
     for lo, hi, buckets in _draw_buckets(gens, n, cuts):
-        rows = buckets.shape[1]
-        np.multiply(buckets.T, c + 1, out=scaled[:rows, lo:hi])
+        groups, rest = divmod(buckets.shape[1], group)
+        whole = buckets[:, :groups * group].reshape(hi - lo, groups, group)
+        grouped[:groups, lo:hi] = (whole @ weights).T
+        if rest:
+            grouped[groups, lo:hi] = buckets[:, groups * group:] @ weights[:rest]
         if hi < count:
             continue
-        for start in range(0, rows, SLOT_CHUNK):
-            part = wide[:min(SLOT_CHUNK, rows - start)]
-            np.copyto(part, scaled[start:start + len(part)])
-            for row in part:
-                np.minimum(u, c, out=index)
+        for k, rows in ((group, grouped[:groups]), (rest, grouped[groups:groups + (rest > 0)])):
+            delta, top = walks[k]
+            for row in rows:
+                np.minimum(u, caps, out=index)
                 index += row
-                flat.take(index, out=step, mode="clip")  # in range; "raise" would buffer out
+                delta.take(index, out=step, mode="clip")  # in range; "raise" would buffer out
+                top.take(index, out=high, mode="clip")
+                high += u
+                np.maximum(peak, high, out=peak)
                 u += step
-                np.maximum(peak, u, out=peak)
         _check_state(int(peak.max()))
     return peak
 

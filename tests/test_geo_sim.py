@@ -14,6 +14,7 @@ from queuemax import (ConvergenceError, GeoSimConfig, RangeError, analyze_geo, e
 
 REFERENCE = validate_geo_params(1 / 3, 1 / 6, 3)
 FAST_SINGLE = validate_geo_params(1 / 3, 1 / 2, 1)
+TWO_SERVERS = validate_geo_params(0.3, 0.25, 2)  # walks of L = 4 slots, against 3 at c = 3
 
 
 class TestConfig:
@@ -47,8 +48,9 @@ class TestDeterminism:
         assert int(result.samples[0]) == single
         assert result.se == 0.0
 
+    # 1500 and 1503 slots end on a walk of 4 and of 3 slots at c = 2
     @pytest.mark.parametrize("params,n", [(REFERENCE, 2500), (FAST_SINGLE, 2500),
-                                          (validate_geo_params(0.3, 0.25, 2), 1500)])
+                                          (TWO_SERVERS, 1500), (TWO_SERVERS, 1503)])
     def test_scalar_and_vector_paths_agree(self, params, n):
         master = 2718
         config = GeoSimConfig(params, n, 16, master)
@@ -58,18 +60,20 @@ class TestDeterminism:
         assert vector.tolist() == scalar
 
     def test_schedule_independence(self, monkeypatch):
-        for params in (REFERENCE, FAST_SINGLE):
-            config = GeoSimConfig(params, 800, 50, seed=5)
+        # blocks end on every shorter walk k < L: at c = 3 (800 slots) k = 1 with
+        # blocks of 1 and 7, k = 2 with 7, 333 and 4096; at c = 2 (802 slots) k = 1
+        # with 1 and 333, k = 3 with 7, k = 2 with 4096
+        for params, n in ((REFERENCE, 800), (FAST_SINGLE, 800), (TWO_SERVERS, 802)):
+            config = GeoSimConfig(params, n, 50, seed=5)
             reference_samples = replicate_max_length(config).samples
             for block in (1, 7, 333, 4096):
                 with monkeypatch.context() as patch:
                     patch.setattr(geo_sim, "BLOCK", block)
                     patch.setattr(geo_sim, "DRAW_CHUNK", 3)
                     patch.setattr(geo_sim, "REP_CHUNK", 7)
-                    patch.setattr(geo_sim, "SLOT_CHUNK", 5)
                     chunked = replicate_max_length(config).samples
                     gen = substream_generator(5, 49)
-                    scalar, _ = geo_sim._run_single(params, 800, gen, [0, 800])
+                    scalar, _ = geo_sim._run_single(params, n, gen, [0, n])
                 assert np.array_equal(reference_samples, chunked)
                 assert scalar == reference_samples[49]
 

@@ -12,10 +12,12 @@ here, even when the scalar and vectorized paths drift together. A deliberate
 stream change must be versioned in the run manifest; regenerate both files
 then with `PYTHONPATH=src python tests/test_geo_stream.py`.
 
-The property tests check the decode table against the increment laws, and
-both kernels against the reference across block and sub-chunk edges.
+The property tests check the decode table against the increment laws, the
+multi-slot walk tables against the per-slot rule, and both kernels against
+the reference across block and sub-chunk edges.
 """
 import json
+from itertools import count
 from math import sqrt
 from pathlib import Path
 
@@ -174,16 +176,63 @@ def test_decode_table_reproduces_each_law(params):
         assert np.all((0 <= arrival_less_step) & (arrival_less_step <= 1))
 
 
+INT16_MAX = np.iinfo(np.int16).max
+
+
+def _largest_group_index(c, cuts, group):
+    """The largest index into the walk tables of `group` slots: S (m+1)^L - 1, S = cL + 1."""
+    return (c * group + 1) * (cuts + 1) ** group - 1
+
+
+def test_group_indices_fit_int16():
+    # _gather_maxima stores each group index in int16, and matmul wraps silently.
+    # Law k adds k+1 partial sums, so there are at most (c+1)(c+2)/2 cuts.
+    # From c = 39 on, even a walk of one slot per group overflows int16.
+    overflows = next(c for c in count(1)
+                     if _largest_group_index(c, (c + 1) * (c + 2) // 2, 1) > INT16_MAX)
+    assert overflows == 39
+    assert MAX_SERVERS < overflows, "c >= 39 needs a wider group index in _gather_maxima"
+
+
+def _check_walk_tables(c, table):
+    """Every walk table against the per-slot rule u += table[b, min(u, c)], one slot at a time.
+
+    Covers every k = 1..L, every combination of k buckets, and every start
+    0..cL+3, past the cap cL where all starts share one table entry.
+    """
+    walks = geo_sim._walk_tables(c, table)
+    group, radix = len(walks) - 1, len(table)
+    span = c * group + 1
+    for k, (delta, top) in enumerate(walks[1:], 1):
+        combos, starts = np.meshgrid(np.arange(radix**k), np.arange(span + 3), indexing="ij")
+        u = starts.copy()
+        high = starts.copy()
+        for i in range(k):
+            u = u + table[combos // radix**i % radix, np.minimum(u, c)]
+            high = np.maximum(high, u)
+        at = combos * span + np.minimum(starts, span - 1)
+        assert np.array_equal(delta[at], u - starts)
+        assert np.array_equal(top[at], high - starts)
+        assert len(delta) == len(top) == radix**k * span
+    return group
+
+
+@pytest.mark.parametrize("c,group", [(2, 4), (3, 3)])
+def test_walk_tables_match_per_slot_rule(c, group):
+    _, table = geo_sim._decode_table(PARAMS[c])
+    assert _check_walk_tables(c, table) == group
+
+
 @settings(max_examples=100, deadline=None)
 @given(params=_decode_params())
-def test_scaled_buckets_fit_int8(params):
-    # _gather_maxima stores bucket * (c+1) in int8, and np.multiply wraps silently;
-    # law k adds k+1 partial sums, so at most (c+1)(c+2)/2 cuts
+def test_walk_tables_match_per_slot_rule_everywhere(params):
     c = params.c
-    cuts, _ = geo_sim._decode_table(params)
-    assert len(cuts) <= (c + 1) * (c + 2) // 2
-    top = MAX_SERVERS + 1
-    assert top * (top + 1) // 2 * top <= np.iinfo(np.int8).max
+    cuts, table = geo_sim._decode_table(params)
+    assert len(cuts) <= (c + 1) * (c + 2) // 2  # the bound test_group_indices_fit_int16 takes
+    group = _check_walk_tables(c, table)
+    assert group >= 1
+    largest = _largest_group_index(c, len(cuts), group)
+    assert largest <= INT16_MAX < _largest_group_index(c, len(cuts), group + 1)
 
 
 if __name__ == "__main__":
