@@ -24,11 +24,10 @@ to the block and the chunk, never to the horizon. PCG64 hands out its
 doubles in the same order however the draws are split, so BLOCK and the
 chunks leave every sample unchanged: a run is fixed by its seeds alone.
 
-- `_run_single` steps one trajectory slot by slot in Python over the
-  buckets pre-scaled by c+1, u += flat[b + min(u, c)] with flat the
-  row-major table, and takes the maximum and the batch sums of
-  `time_average_queue_length` from each block's path; at width one a Python
-  loop beats any per-slot numpy call by an order of magnitude.
+- `_run_single` steps one trajectory slot by slot in Python, u += flat[b +
+  min(u, c)] over buckets pre-scaled by c+1 (flat: the row-major table), one
+  batch (edges[i], edges[i+1]] of `time_average_queue_length` at a time; at
+  width one a Python loop beats any per-slot numpy call by ten times.
 - `_run_many` vectorizes the replications of `replicate_max_length`. At c = 1
   it needs no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t,
   a_t) (Lindley 1952), so with S = cumsum(inc[1]) over a block,
@@ -53,8 +52,8 @@ import numpy as np
 
 from .errors import ConvergenceError, RangeError
 from .params import GeoParams, increment_distribution
-from .replication import (SimResult, check_master_seed, make_sim_result, substream_generators,
-                          substream_seed)
+from .replication import (SimResult, check_integers, check_master_seed, make_sim_result,
+                          substream_generators, substream_seed)
 
 BLOCK = 512        # slots per generator call (performance only: the stream does not depend on it)
 REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
@@ -86,6 +85,7 @@ class GeoSimConfig:
         if self.reps < 1:
             raise RangeError(f"need at least 1 replication, got {self.reps}")
         check_master_seed(self.seed)
+        check_integers(n=self.n, reps=self.reps)
 
 
 def _decode_table(params: GeoParams):
@@ -134,27 +134,23 @@ def _draw_buckets(gens, n: int, cuts):
             yield lo, hi, out
 
 
-def _run_single(params: GeoParams, n: int, gen: np.random.Generator, edges):
-    """One trajectory: its maximum and the sums of u over slots (edges[i], edges[i+1]]."""
+def _run_single(params: GeoParams, gen: np.random.Generator, edges):
+    """One trajectory, drawn batch by batch: its maximum and the sum of u over each batch."""
     c = params.c
     cuts, table = _decode_table(params)
     flat = table.ravel().tolist()
-    u = peak = done = batch = 0
-    sums = [0] * (len(edges) - 1)
-    for _, _, buckets in _draw_buckets([gen], n, cuts):
-        path = []
-        for b in np.multiply(buckets[0], c + 1, dtype=np.intp).tolist():
-            u += flat[b + (u if u < c else c)]
-            path.append(u)
-        peak = max(peak, max(path))
-        _check_state(peak)
-        end = done + len(path)
-        while batch < len(sums) and edges[batch] < end:
-            sums[batch] += sum(path[max(edges[batch] - done, 0):edges[batch + 1] - done])
-            if edges[batch + 1] > end:
-                break
-            batch += 1
-        done = end
+    u = peak = 0
+    sums = []
+    for lo, hi in zip(edges, edges[1:]):
+        total = 0
+        for _, _, buckets in _draw_buckets([gen], hi - lo, cuts):
+            for b in np.multiply(buckets[0], c + 1, dtype=np.intp).tolist():
+                u += flat[b + (u if u < c else c)]
+                total += u
+                if u > peak:
+                    peak = u
+            _check_state(peak)
+        sums.append(total)
     return peak, sums
 
 
@@ -256,16 +252,13 @@ def _gather_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
 
 
 def simulate_max_length(params: GeoParams, n: int, seed: int) -> int:
-    """Maximum queue length observed over an n-step trajectory."""
-    if n < 1:
-        raise RangeError(f"horizon must be at least 1 step, got {n}")
-    check_master_seed(seed)
-    peak, _ = _run_single(params, n, np.random.Generator(np.random.PCG64(seed)), [0, n])
+    """Maximum queue length observed over an n-step trajectory; GeoSimConfig checks n and seed."""
+    GeoSimConfig(params, n, 1, seed)
+    peak, _ = _run_single(params, np.random.Generator(np.random.PCG64(seed)), [0, n])
     return peak
 
 
-def time_average_queue_length(params: GeoParams, n: int, seed: int,
-                              batches: int = 100):
+def time_average_queue_length(params: GeoParams, n: int, seed: int, batches: int = 100):
     """Time average of the queue length over one long run.
 
     Returns (mean, standard error); the SE comes from batch means, the
@@ -273,10 +266,11 @@ def time_average_queue_length(params: GeoParams, n: int, seed: int,
     """
     if n < batches or batches < 2:
         raise RangeError(f"need n >= batches >= 2, got n={n}, batches={batches}")
-    check_master_seed(seed)
+    GeoSimConfig(params, n, 1, seed)
+    check_integers(batches=batches)
     edges = [round(i * n / batches) for i in range(batches + 1)]
     gen = np.random.Generator(np.random.PCG64(seed))
-    _, batch_sums = _run_single(params, n, gen, edges)
+    _, batch_sums = _run_single(params, gen, edges)
     means = np.asarray(batch_sums) / np.diff(edges)
     return float(means.mean()), float(means.std(ddof=1) / sqrt(batches))
 

@@ -126,8 +126,9 @@ def mean_wait(params: MMParams, kind: Kind) -> float:
     _check_kind(kind)
     lam, mu, c = params.lam, params.mu, params.c
     offered = params.rho_single
-    blocking = 1.0
-    for k in range(1, c + 1):
+    blocking, k = 1.0, 0
+    while blocking and k < c:  # once blocking underflows to 0.0 it stays there
+        k += 1
         blocking = offered * blocking / (k + offered * blocking)
     waiting = blocking / (1.0 - params.utilization * (1.0 - blocking))
     queue_wait = waiting / (c * mu - lam)

@@ -17,21 +17,12 @@ import numpy as np
 
 from .errors import RangeError
 from .mm_analysis import MMParams
-from .replication import (SimResult, check_master_seed, make_sim_result, substream_generators,
-                          substream_seed)
+from .replication import (SimResult, check_integers, check_master_seed, make_sim_result,
+                          substream_generators, substream_seed)
 
 EXPONENTIAL_METHOD = "inverse CDF: -log1p(-U)/mu"
 _INT64_MAX = np.iinfo(np.int64).max
 POISSON_MEAN_MAX = float(_INT64_MAX - 10 * np.sqrt(_INT64_MAX))  # numpy's bound on a Poisson mean
-
-
-def _check_interval(params: MMParams, n: float) -> None:
-    """Reject an interval the customer count of one run cannot be drawn for."""
-    if not 0 < n < inf:
-        raise RangeError(f"interval length must be positive and finite, got {n}")
-    if not params.lam * n <= POISSON_MEAN_MAX:
-        raise RangeError(f"expected customers per run lambda*n = {params.lam * n:.6g} "
-                         f"exceeds the Poisson limit {POISSON_MEAN_MAX:.6g}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +35,16 @@ class MMSimConfig:
     seed: int
 
     def __post_init__(self):
-        _check_interval(self.params, self.n)
+        if not 0 < self.n < inf:
+            raise RangeError(f"interval length must be positive and finite, got {self.n}")
+        customers = self.params.lam * self.n  # the Poisson mean of one run's customer count
+        if not customers <= POISSON_MEAN_MAX:
+            raise RangeError(f"expected customers per run lambda*n = {customers:.6g} "
+                             f"exceeds the Poisson limit {POISSON_MEAN_MAX:.6g}")
         if self.reps < 1:
             raise RangeError(f"need at least 1 replication, got {self.reps}")
         check_master_seed(self.seed)
+        check_integers(reps=self.reps)
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ def assign_service_starts(arrivals, services, c: int) -> np.ndarray:
         raise RangeError("arrivals and services must be congruent 1-d arrays")
     if c < 1:
         raise RangeError(f"need at least one server, got {c}")
-    free = [0.0] * c  # a heap: free[0] is the earliest free time
+    free = [0.0] * min(c, arrivals.size)  # a heap: free[0] is the earliest; spare servers idle
     starts = np.empty(arrivals.size)
     for i, (arrival, service) in enumerate(zip(arrivals.tolist(), services.tolist())):
         start = arrival if arrival > free[0] else free[0]
@@ -94,9 +91,8 @@ def _draw_customers(params: MMParams, n: float, gen: np.random.Generator):
 
 
 def simulate_wait_detail(params: MMParams, n: float, seed: int) -> WaitDetail:
-    """One run with full per-customer arrays."""
-    _check_interval(params, n)
-    check_master_seed(seed)
+    """One run with full per-customer arrays; MMSimConfig checks n and seed."""
+    MMSimConfig(params, n, 1, seed)
     return _wait_detail(params, n, np.random.Generator(np.random.PCG64(seed)))
 
 

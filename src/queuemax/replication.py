@@ -36,7 +36,7 @@ def substream_seed(master_seed: int, index: int) -> int:
     """
     if index < 0:
         raise ValueError(f"replication index must be nonnegative, got {index}")
-    z = (master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
+    z = (int(master_seed) + (index + 1) * _SPLITMIX_GAMMA) & _MASK64  # numpy ints would overflow
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -47,10 +47,18 @@ def substream_generator(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(substream_seed(master_seed, index)))
 
 
+def check_integers(**values) -> None:
+    """Raise unless every value is an integer; numpy integers count, integral floats do not."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise RangeError(f"{name} must be an integer, got {value!r}")
+
+
 def check_master_seed(seed: int) -> None:
-    """Raise unless `seed` lies in [0, 2^64), where distinct seeds give distinct runs."""
+    """Raise unless `seed` is an integer in [0, 2^64), where distinct seeds give distinct runs."""
     if not 0 <= seed <= _MASK64:
         raise RangeError(f"master seed must lie in [0, 2**64), got {seed}")
+    check_integers(seed=seed)
 
 
 def _hasher(const: int, mult: int):

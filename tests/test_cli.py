@@ -440,6 +440,15 @@ class TestExitCodes:
         assert "Poisson limit" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_mm_servers_past_every_customer_run(self, command, tmp_path, capsys):
+        # no run has more customers than servers, so nobody waits in the queue
+        code = main([command, "mm", "--lambda", "1", "--mu", "1", "--c", str(2**62),
+                     "--n", "20", "--reps", "3", "--out", str(tmp_path)])
+        assert code == 0
+        header, rows = read_csv(tmp_path / "samples.csv")
+        assert [float(row[header.index("max_que")]) for row in rows] == [0.0] * 3
+
     def test_io_failure_is_four(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

@@ -55,7 +55,7 @@ class TestDeterminism:
         master = 2718
         config = GeoSimConfig(params, n, 16, master)
         vector = replicate_max_length(config).samples
-        scalar = [geo_sim._run_single(params, n, substream_generator(master, i), [0, n])[0]
+        scalar = [geo_sim._run_single(params, substream_generator(master, i), [0, n])[0]
                   for i in range(16)]
         assert vector.tolist() == scalar
 
@@ -73,7 +73,7 @@ class TestDeterminism:
                     patch.setattr(geo_sim, "REP_CHUNK", 7)
                     chunked = replicate_max_length(config).samples
                     gen = substream_generator(5, 49)
-                    scalar, _ = geo_sim._run_single(params, n, gen, [0, n])
+                    scalar, _ = geo_sim._run_single(params, gen, [0, n])
                 assert np.array_equal(reference_samples, chunked)
                 assert scalar == reference_samples[49]
 

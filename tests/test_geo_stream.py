@@ -130,11 +130,12 @@ def test_vector_kernel_matches_exact_recursion(p, r, c, n, reps, master):
 @given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
        n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000]),
        cuts=st.lists(st.floats(0.0, 1.0), max_size=4), seed=st.integers(0, 2**63 - 1))
+@example(p=0.3, r=0.25, c=2, n=BLOCK + 1, cuts=[0.5, 0.0, 0.5], seed=1)  # two empty batches
 def test_scalar_path_matches_exact_recursion(p, r, c, n, cuts, seed):
     assume(p < c * r)
-    edges = sorted({0, n, *(round(x * n) for x in cuts)})
+    edges = sorted([0, n, *(round(x * n) for x in cuts)])  # repeats make empty batches
     params = validate_geo_params(p, r, c)
-    got = geo_sim._run_single(params, n, np.random.Generator(np.random.PCG64(seed)), edges)
+    got = geo_sim._run_single(params, np.random.Generator(np.random.PCG64(seed)), edges)
     want = geo_max_by_recursion(p, r, c, n, np.random.Generator(np.random.PCG64(seed)), edges)
     assert got == want
 

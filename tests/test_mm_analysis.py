@@ -136,6 +136,12 @@ class TestMeanWait:
                     assert mean_wait(params, "queue") == pytest.approx(
                         mm_queue_wait_rational(lam, mu, c), rel=1e-12)
 
+    def test_recursion_stops_once_blocking_underflows(self):
+        # offered load 100: the Erlang B probability underflows to 0.0 well before c = 2000
+        many, fewer = validate_mm_params(100.0, 1.0, 10**6), validate_mm_params(100.0, 1.0, 2000)
+        for kind in ("queue", "system"):
+            assert mean_wait(many, kind) == mean_wait(fewer, kind)
+
     def test_gumbel_mean_consistency(self):
         # mean of the implied Gumbel law equals the expected-maximum formula
         n = 20000.0

@@ -126,3 +126,35 @@ def test_campaigns_run_at_both_seed_ends(seed):
     assert mm.customers.tolist() == [d.arrivals.size for d in details]
     assert mm.max_sys.samples.tolist() == [d.wait_sys.max() if d.arrivals.size else 0.0
                                            for d in details]
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: replicate_max_length(GeoSimConfig(GEO, 2.5, 4, 1)), id="geo-n"),
+    pytest.param(lambda: replicate_max_length(GeoSimConfig(GEO, 100, 2.5, 1)), id="geo-reps"),
+    pytest.param(lambda: replicate_max_length(GeoSimConfig(GEO, 100, 4, 1.5)), id="geo-seed"),
+    pytest.param(lambda: simulate_max_length(GEO, 2.5, 1), id="max-n"),
+    pytest.param(lambda: simulate_max_length(GEO, 100, 1.5), id="max-seed"),
+    pytest.param(lambda: time_average_queue_length(GEO, 1000.5, 1), id="average-n"),
+    pytest.param(lambda: time_average_queue_length(GEO, 1000, 1, batches=2.5),
+                 id="average-batches"),
+    pytest.param(lambda: time_average_queue_length(GEO, 1000, 1.5), id="average-seed"),
+    pytest.param(lambda: replicate_wait_maxima(MMSimConfig(MM, 100.0, 2.5, 1)), id="mm-reps"),
+    pytest.param(lambda: replicate_wait_maxima(MMSimConfig(MM, 100.0, 4, 1.5)), id="mm-seed"),
+    pytest.param(lambda: simulate_wait_detail(MM, 100.0, 1.5), id="detail-seed"),
+])
+def test_non_integer_counts_and_seeds_are_range_errors(run):
+    with pytest.raises(RangeError, match="must be an integer"):
+        run()
+
+
+def test_numpy_integers_run_as_python_integers():
+    n, reps, seed, batches = np.int64(200), np.int32(4), np.uint64(2**64 - 1), np.int16(10)
+    assert (replicate_max_length(GeoSimConfig(GEO, n, reps, seed)).samples.tolist()
+            == replicate_max_length(GeoSimConfig(GEO, 200, 4, 2**64 - 1)).samples.tolist())
+    assert simulate_max_length(GEO, n, seed) == simulate_max_length(GEO, 200, 2**64 - 1)
+    assert (time_average_queue_length(GEO, n, seed, batches)
+            == time_average_queue_length(GEO, 200, 2**64 - 1, 10))
+    assert (replicate_wait_maxima(MMSimConfig(MM, 200.0, reps, seed)).customers.tolist()
+            == replicate_wait_maxima(MMSimConfig(MM, 200.0, 4, 2**64 - 1)).customers.tolist())
+    assert (simulate_wait_detail(MM, 200.0, seed).arrivals.size
+            == simulate_wait_detail(MM, 200.0, 2**64 - 1).arrivals.size)
