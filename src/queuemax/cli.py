@@ -22,7 +22,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
-from math import ceil, exp, inf, log, nan
+from math import ceil, inf, log, nan
 from pathlib import Path
 
 import numpy as np
@@ -174,19 +174,17 @@ def _geo_cdf_table(law, empirical=None):
     """Rows (k, predicted[, empirical]) across the informative probability range.
 
     The range runs from the first k >= servers whose predicted CDF
-    exp(scale * omega**k) reaches CDF_PROB_FLOOR to the first whose CDF
-    reaches 1 - CDF_PROB_FLOOR. The CDF increases in k, so each end is
-    estimated from logs and settled on the exact values. A range longer than
-    CDF_POINTS rows keeps every stride-th k from the low end, plus the high
-    end, with the smallest stride that fits.
+    law.cdf(k) reaches CDF_PROB_FLOOR to the first whose CDF reaches
+    1 - CDF_PROB_FLOOR. The CDF increases in k, so each end is estimated from
+    logs and settled on the exact values. A range longer than CDF_POINTS rows
+    keeps every stride-th k from the low end, plus the high end, with the
+    smallest stride that fits.
     """
-    scale, omega = -law.beta * law.n, law.omega
-
     def first_reaching(level, start):
-        k = max(start, ceil((log(-log(level)) - log(-scale)) / log(omega)))
-        while k > start and exp(scale * omega ** (k - 1)) >= level:
+        k = max(start, ceil((log(-log(level)) - log(law.beta * law.n)) / log(law.omega)))
+        while k > start and law.cdf(k - 1) >= level:
             k -= 1
-        while exp(scale * omega**k) < level:
+        while law.cdf(k) < level:
             k += 1
         return k
 
@@ -194,7 +192,7 @@ def _geo_cdf_table(law, empirical=None):
     high = first_reaching(1.0 - CDF_PROB_FLOOR, low)
     stride = max(1, -(-(high - low) // (CDF_POINTS - 1)))  # integer ceiling
     ks = [*range(low, high, stride), high]
-    predicted = [exp(scale * omega**k) for k in ks]
+    predicted = [law.cdf(k) for k in ks]
     if empirical is None:
         return list(zip(ks, predicted))
     return list(zip(ks, predicted, empirical.evaluate(np.asarray(ks)).tolist()))
