@@ -2,8 +2,8 @@
 
 Computes, in order: the geometric tail decay rate omega (the root in (0, 1)
 of the tail's cut balance, which is the fixed point w = (qw+p)(rw+s)^c with
-its root at 1 divided out), the stationary distribution (boundary masses by
-back-substitution against the geometric tail), the level hitting/return
+its root at 1 divided out), the stationary distribution (boundary masses from
+cut balances against the geometric tail), the level hitting/return
 probabilities of the fully-busy random walk (via generating-function numerator
 conditions at selected denominator roots, the descent one at omega itself),
 and from those the clump rate
@@ -122,23 +122,23 @@ def decay_rate_omega(params: GeoParams) -> float:
 
 
 def _stationary_from_omega(params: GeoParams, omega: float):
-    """Boundary masses and pi_c by back-substituting the balance equations
-    of columns c..1 against the geometric tail pi_j = omega^(j-c) pi_c.
-    Raises DegenerateRootsError for a mass outside (0, 1), as omega off its root gives."""
+    """Boundary masses and pi_c from the cut balances below levels c..1.
+
+    The queue rises at most one level per slot, so only level k-1 sends mass up
+    across the cut below level k, and the flows balance (Kelly 1979, Lemma 1.4):
+    pi_{k-1} P_{k-1}(X = +1) = sum_{j=k..k+c-1} pi_j P_{min(j,c)}(X <= k-1-j).
+    With the tail pi_j = omega^(j-c) pi_c every term is a product of probabilities,
+    so nothing cancels. Raises DegenerateRootsError for a mass outside (0, 1)."""
     c = params.c
-    rows = increment_distribution(params).tolist()
-
-    def trans(j: int, k: int) -> float:
-        return rows[min(j, c)][c + k - j]
-
-    ratio = {j: omega ** (j - c) for j in range(c, 2 * c + 2)}  # pi_j / pi_c
+    table = increment_distribution(params)
+    up = table[:c, -1].tolist()  # P_b(X = +1) = p*s^b > 0
+    below = np.cumsum(table, axis=1).tolist()  # below[b][c + m] = P_b(X <= m)
+    ratio = [0.0] * c + [omega**i for i in range(c)]  # pi_j / pi_c, j < 2c
     for k in range(c, 0, -1):
-        acc = ratio[k]
-        for j in range(k, k + c + 1):
-            acc -= ratio[j] * trans(j, k)
-        ratio[k - 1] = acc / trans(k - 1, k)  # trans(k-1, k) = p*s^busy > 0
-    pi_c = 1.0 / (1.0 / (1.0 - omega) + sum(ratio[j] for j in range(c)))
-    boundary = tuple(ratio[j] * pi_c for j in range(c))
+        down = sum(ratio[j] * below[min(j, c)][c + k - 1 - j] for j in range(k, k + c))
+        ratio[k - 1] = down / up[k - 1]
+    pi_c = 1.0 / (1.0 / (1.0 - omega) + sum(ratio[:c]))
+    boundary = tuple(mass * pi_c for mass in ratio[:c])
     if any(not 0.0 < b < 1.0 for b in boundary) or not 0.0 < pi_c < 1.0:
         raise DegenerateRootsError(f"stationary masses {boundary}, {pi_c} not all in (0, 1)")
     return boundary, pi_c

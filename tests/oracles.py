@@ -3,15 +3,17 @@
 Deliberately built on different machinery than the library paths they check:
 dense numpy linear algebra for stationary vectors, direct Monte Carlo for
 hitting probabilities, Cardano's formula for the three-server decay rate,
-exact rational arithmetic for the decay rate at heavy traffic, scan+bisection for real polynomial roots, and for the continuous queue a
-truncated birth-death chain plus Little's law and a per-server scan for FIFO
-service starts. The `geo` stream's reference walks each slot's cumulative
-increment law in plain Python, without the simulator's decode table.
+exact rational arithmetic for the decay rate at heavy traffic and for the
+boundary law, scan+bisection for real polynomial roots, and for the
+continuous queue a truncated birth-death chain plus Little's law and a
+per-server scan for FIFO service starts. The `geo` stream's reference walks
+each slot's cumulative increment law in plain Python, without the
+simulator's decode table.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, sqrt
+from math import comb, inf, sqrt
 from typing import Optional
 
 import numpy as np
@@ -88,6 +90,35 @@ def omega_by_exact_bisection(params: GeoParams, bits: int = 80) -> Fraction:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def stationary_by_exact_column_balance(params: GeoParams, bits: int = 120):
+    """Boundary masses and pi_c from the column balances, in exact rational arithmetic.
+
+    The increment laws are built from the exact values of p and r, and omega
+    comes from `omega_by_exact_bisection`. Column k's balance
+    pi_k = sum_{j=k-1..k+c} pi_j P_{min(j,c)}(X = k - j), back-substituted for
+    k = c..1 against the tail pi_j = omega^(j-c) pi_c, subtracts nearly equal
+    terms; exact arithmetic loses nothing to them, so only omega's 2^-bits
+    bracket is left, far below float resolution. An independent check on the
+    library's float cut balance. Returns floats ((pi_0..pi_{c-1}), pi_c).
+    """
+    c = params.c
+    p, r = Fraction(params.p), Fraction(params.r)
+    q, s = 1 - p, 1 - r
+    omega = omega_by_exact_bisection(params, bits)
+    law = [[Fraction(0)] * (c + 2) for _ in range(c + 1)]  # law[busy][c + step]
+    for busy, row in enumerate(law):
+        for d in range(busy + 1):  # d departures
+            binom = comb(busy, d) * r**d * s**(busy - d)
+            row[c + 1 - d] += p * binom
+            row[c - d] += q * binom
+    ratio = {j: omega ** (j - c) for j in range(c, 2 * c + 1)}  # pi_j / pi_c
+    for k in range(c, 0, -1):
+        rest = ratio[k] - sum(ratio[j] * law[min(j, c)][c + k - j] for j in range(k, k + c + 1))
+        ratio[k - 1] = rest / law[k - 1][c + 1]
+    pi_c = 1 / (1 / (1 - omega) + sum(ratio[j] for j in range(c)))
+    return tuple(float(ratio[j] * pi_c) for j in range(c)), float(pi_c)
 
 
 def mc_hitting_probability(params: GeoParams, start: int, walks: int, seed: int,
