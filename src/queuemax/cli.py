@@ -21,7 +21,7 @@ import secrets
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import ceil, inf, log, nan
 from pathlib import Path
 
@@ -76,6 +76,7 @@ def parse_seed(text: str) -> int:
     return seed
 
 
+@cache  # built once per process: building takes longer than an `analyze` command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="queuemax",

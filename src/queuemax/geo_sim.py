@@ -24,21 +24,19 @@ to the block and the chunk, never to the horizon. PCG64 hands out its
 doubles in the same order however the draws are split, so BLOCK and the
 chunks leave every sample unchanged: a run is fixed by its seeds alone.
 
-- `_run_single` steps one trajectory slot by slot in Python, u += flat[b +
-  min(u, c)] over buckets pre-scaled by c+1 (flat: the row-major table), one
-  batch (edges[i], edges[i+1]] of `time_average_queue_length` at a time; at
-  width one a Python loop beats any per-slot numpy call by ten times.
+- `_walk_tables` serves both kernels. A slot adds inc[min(u, c)], a pure
+  shift once u >= c, so over L slots every start u >= cL moves alike. For
+  every start min(u, cL) and combination of L buckets (one int16 index, from
+  `_group_indices`), the tables give the change in u, the highest u reached
+  and the sum of u; the last (slots mod L) slots take a shorter walk's.
+- `_run_single` steps one trajectory L slots per Python iteration, in draws
+  of 4,096 slots: draws of 32,768 took 5*10^4 slots at c = 3 from 6.2 to
+  5.7 ms but the traced peak memory from 0.28 to 1.1 MB (2-vCPU Xeon).
 - `_run_many` vectorizes the replications of `replicate_max_length`. At c = 1
   it needs no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t,
   a_t) (Lindley 1952), so with S = cumsum(inc[1]) over a block,
   u = S + max(u_0, maximum.accumulate(a - S)); u is carried across blocks.
-  At c >= 2 it steps L slots at a time over all replications: a slot adds
-  inc[min(u, c)], a pure shift once u >= c, so over L slots every start
-  u >= cL moves alike, and `_walk_tables` tabulates the change in u and the
-  highest u reached for every start min(u, cL) and every combination of the
-  L slots' buckets. Each replication's buckets are combined into int16 group
-  indices, and each group costs two gathers; a block's last (slots mod L)
-  slots take the tables of that shorter walk. L is 4 at c = 2, 3 at c = 3.
+  At c >= 2 it moves every replication L slots per step, with two gathers.
 
 All paths give identical maxima for a seed; `tests/test_geo_stream.py` pins
 them to recorded samples and to a plain per-slot reference.
@@ -58,7 +56,7 @@ from .replication import (SimResult, check_integers, check_master_seed, make_sim
 BLOCK = 512        # slots per generator call (performance only: the stream does not depend on it)
 REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
 DRAW_CHUNK = 64    # replications drawn and bucketed together (performance only)
-INDEX_MAX = np.iinfo(np.int16).max  # the largest group index the c >= 2 walk stores
+SCALAR_BLOCKS = 8  # BLOCKs per draw of one trajectory in _run_single (performance only)
 STATE_CAP = 2**30  # tripwire: maxima are O(ln n), so this can only mean a bug
 INCREMENT_METHOD = "one uniform per slot, inverse CDF from +1 down"  # recorded in manifests
 
@@ -108,20 +106,20 @@ def _decode_table(params: GeoParams):
     return np.array(cuts), np.array(table, dtype=np.int8)  # m <= 10 at c <= 3: int8 is ample
 
 
-def _draw_buckets(gens, n: int, cuts):
-    """Each block of up to BLOCK slots, DRAW_CHUNK generators at a time, bucketed.
+def _draw_buckets(gens, n: int, cuts, block: int):
+    """Each block of up to `block` slots, DRAW_CHUNK generators at a time, bucketed.
 
     Yields (lo, hi, buckets) with buckets[j - lo, t] = sum_i [U >= cuts[i]] as
     int8 for the uniform U of gens[j] at slot t of the block. A yielded array
     is valid until the next one.
     """
     count = len(gens)
-    shape = (min(DRAW_CHUNK, count), min(BLOCK, n))
+    shape = (min(DRAW_CHUNK, count), min(block, n))
     uniforms = np.empty(shape)
     above = np.empty(shape, dtype=np.bool_)
     buckets = np.empty(shape, dtype=np.int8)
-    for done in range(0, n, BLOCK):
-        steps = min(BLOCK, n - done)
+    for done in range(0, n, block):
+        steps = min(block, n - done)
         for lo in range(0, count, DRAW_CHUNK):
             hi = min(lo + DRAW_CHUNK, count)
             draws, hits, out = (a[:hi - lo, :steps] for a in (uniforms, above, buckets))
@@ -138,17 +136,24 @@ def _run_single(params: GeoParams, gen: np.random.Generator, edges):
     """One trajectory, drawn batch by batch: its maximum and the sum of u over each batch."""
     c = params.c
     cuts, table = _decode_table(params)
-    flat = table.ravel().tolist()
+    walks = [tuple(map(memoryview, walk)) for walk in _walk_tables(c, table)]  # int16 rows
+    group, cap = len(walks) - 1, c * (len(walks) - 1)
+    index = np.empty((SCALAR_BLOCKS * BLOCK // group + 1, 1), dtype=np.int16)
     u = peak = 0
     sums = []
     for lo, hi in zip(edges, edges[1:]):
         total = 0
-        for _, _, buckets in _draw_buckets([gen], hi - lo, cuts):
-            for b in np.multiply(buckets[0], c + 1, dtype=np.intp).tolist():
-                u += flat[b + (u if u < c else c)]
-                total += u
-                if u > peak:
-                    peak = u
+        for _, _, buckets in _draw_buckets([gen], hi - lo, cuts, SCALAR_BLOCKS * BLOCK):
+            groups, rest = _group_indices(buckets, group, len(table), cap + 1, index)
+            offsets = index[:groups + (rest > 0), 0].tolist()
+            for k, run in ((group, offsets[:groups]), (rest, offsets[groups:])):
+                delta, top, area = walks[k]
+                for g in run:
+                    i = g + (u if u < cap else cap)
+                    total += k * u + area[i]
+                    if u + k > peak and u + top[i] > peak:  # k slots climb at most k
+                        peak = u + top[i]
+                    u += delta[i]
             _check_state(peak)
         sums.append(total)
     return peak, sums
@@ -172,7 +177,7 @@ def _lindley_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
     path = np.empty(shape, dtype=np.int32)
     u = np.zeros(count, dtype=np.int32)
     peak = np.zeros(count, dtype=np.int32)
-    for lo, hi, buckets in _draw_buckets(gens, n, cuts):
+    for lo, hi, buckets in _draw_buckets(gens, n, cuts, BLOCK):
         m, span = buckets.shape
         b, out = index[:m, :span], inc[:m, :span]
         np.copyto(b, buckets)
@@ -192,49 +197,57 @@ def _lindley_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
 def _walk_tables(c: int, table):
     """The walk of u over k = 0..L slots from each start state, one flat table per k.
 
-    walks[k] = (delta, top). For the buckets b_0..b_{k-1} of k slots in a row,
-    g = sum_i b_i (m+1)^i, and s = min(u, cL): delta[g*S + s] is the change in
-    u over the k slots and top[g*S + s] the highest u among the start and those
-    slots, less the start (S = cL + 1). No walk of k <= L slots from u >= cL
-    falls below c before its last slot, so all such starts move alike. L is
-    the largest group with S (m+1)^L - 1 <= INDEX_MAX, so each g*S fits int16.
+    walks[k] stacks (delta, top, area). For the buckets b_0..b_{k-1} of k slots
+    in a row, g = sum_i b_i (m+1)^i, s = min(u, cL) and S = cL + 1, entry
+    g*S + s is the change in u over the k slots, the highest u among the start
+    and those slots, and the sum of u over those slots, each less the start.
+    No walk of k <= L slots from u >= cL falls below c before its last slot,
+    so all such starts move alike. L is the largest with S (m+1)^L <= 2^15.
     """
-    table, radix = table.astype(np.intp), len(table)
+    table, radix = table.astype(np.int16), len(table)
     group = 0
-    while (c * (group + 1) + 1) * radix ** (group + 1) - 1 <= INDEX_MAX:
+    while (c * (group + 1) + 1) * radix ** (group + 1) <= 2**15:  # every index fits int16
         group += 1
     start = np.arange(c * group + 1)
-    delta = top = np.zeros((1, len(start)), dtype=np.intp)
-    walks = [(delta.ravel(), top.ravel())]
+    walks = [np.zeros((3, len(start)), dtype=np.int16)]
     for _ in range(group):  # each added slot's bucket is the most significant digit of g
+        delta, top, area = walks[-1].reshape(3, -1, len(start))
         moved = delta + table[:, np.minimum(start + delta, c)]
-        top = np.maximum(top, moved).reshape(-1, len(start))
-        delta = moved.reshape(-1, len(start))
-        walks.append((delta.ravel(), top.ravel()))
+        walks.append(np.stack([moved, np.maximum(top, moved), area + moved]).reshape(3, -1))
     return walks
+
+
+def _group_indices(buckets, group: int, radix: int, span: int, out):
+    """out[j, row] = g*S for the j-th run of `group` buckets of each row, the last maybe short.
+
+    Horner's rule in out's int16 (see _walk_tables); out needs slots // group + 1
+    rows. Returns divmod(slots, group).
+    """
+    rows, (groups, rest) = len(buckets), divmod(buckets.shape[1], group)
+    whole = buckets[:, :groups * group].reshape(rows, groups, group).transpose(1, 0, 2)
+    for digits, into in ((whole, out[:groups, :rows]),
+                         (buckets[:, groups * group:], out[groups, :rows])):
+        if digits.shape[-1]:
+            np.copyto(into, digits[..., -1])
+            for i in range(digits.shape[-1] - 2, -1, -1):
+                into *= radix
+                into += digits[..., i]
+            into *= span
+    return groups, rest
 
 
 def _gather_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
     """c >= 2: L slots per step, u += delta[g*S + min(u, cL)], from `_walk_tables`."""
     c = params.c
     cuts, table = _decode_table(params)
-    walks = _walk_tables(c, table)
+    walks = [walk[:2].astype(np.intp) for walk in _walk_tables(c, table)]  # delta, top
     group, cap = len(walks) - 1, c * (len(walks) - 1)
-    weights = ((cap + 1) * len(table) ** np.arange(group)).astype(np.int16)
     count = len(gens)
-    grouped = np.empty((-(-min(BLOCK, n) // group), count), dtype=np.int16)
+    grouped = np.empty((min(BLOCK, n) // group + 1, count), dtype=np.int16)
     caps = np.full(count, cap, dtype=np.intp)
-    u = np.zeros(count, dtype=np.intp)
-    peak = np.zeros(count, dtype=np.intp)
-    index = np.empty(count, dtype=np.intp)
-    step = np.empty(count, dtype=np.intp)
-    high = np.empty(count, dtype=np.intp)
-    for lo, hi, buckets in _draw_buckets(gens, n, cuts):
-        groups, rest = divmod(buckets.shape[1], group)
-        whole = buckets[:, :groups * group].reshape(hi - lo, groups, group)
-        grouped[:groups, lo:hi] = (whole @ weights).T
-        if rest:
-            grouped[groups, lo:hi] = buckets[:, groups * group:] @ weights[:rest]
+    u, peak, index, step, high = np.zeros((5, count), dtype=np.intp)
+    for lo, hi, buckets in _draw_buckets(gens, n, cuts, BLOCK):
+        groups, rest = _group_indices(buckets, group, len(table), cap + 1, grouped[:, lo:hi])
         if hi < count:
             continue
         for k, rows in ((group, grouped[:groups]), (rest, grouped[groups:groups + (rest > 0)])):

@@ -14,9 +14,12 @@ then with `PYTHONPATH=src python tests/test_geo_stream.py`.
 
 The property tests check the decode table against the increment laws, the
 multi-slot walk tables against the per-slot rule, and both kernels against
-the reference across block and sub-chunk edges.
+the reference across block and sub-chunk edges. The scalar path draws
+SCALAR_BLOCK slots at a time, so its horizons and batch edges on both sides
+of that are checked against the reference directly, without a golden file.
 """
 import json
+from functools import cache
 from itertools import count
 from math import sqrt
 from pathlib import Path
@@ -45,6 +48,11 @@ BLOCK, CHUNK = geo_sim.BLOCK, geo_sim.DRAW_CHUNK
 # (n, batches): batch edges at, just past and across the block edges of BLOCK = 512
 TIME_AVERAGES = ((100, 100), (513, 2), (1000, 7), (1537, 3), (2048, 4), (5000, 9))
 MAXIMA_HORIZONS = (1, 511, 512, 513, 1537, 3000)
+# horizons and batches of SCALAR_BLOCK + j slots: the scalar path's last draw of
+# j = 1..5 slots ends on a short walk of every k < L (L <= 6 here)
+SCALAR_BLOCK = geo_sim.SCALAR_BLOCKS * BLOCK
+SCALAR_BLOCK_CASES = tuple((n, None) for n in range(SCALAR_BLOCK - 1, SCALAR_BLOCK + 6)) + tuple(
+    (2 * (SCALAR_BLOCK + j), 2) for j in range(-1, 6))
 
 
 def _cases():
@@ -99,6 +107,9 @@ def _reference_scalar_output(c, n, batches, seed):
     return [float(means.mean()), float(means.std(ddof=1) / sqrt(batches))]
 
 
+_cached_reference = cache(_reference_scalar_output)
+
+
 def _scalar_golden():
     return {(case["c"], case["n"], case["batches"], case["seed"]): case["output"]
             for case in json.loads(SCALAR_GOLDEN.read_text())["cases"]}
@@ -109,6 +120,24 @@ def _scalar_golden():
 def test_scalar_path_matches_recorded_stream(c, n, batches, seed, block, monkeypatch):
     monkeypatch.setattr(geo_sim, "BLOCK", block)
     assert _scalar_output(c, n, batches, seed) == _scalar_golden()[c, n, batches, seed]
+
+
+@pytest.mark.parametrize("block", [BLOCK, 1, 7, 333])
+@pytest.mark.parametrize("c", list(PARAMS))
+@pytest.mark.parametrize("n,batches", SCALAR_BLOCK_CASES)
+def test_scalar_path_matches_reference_across_draws(c, n, batches, block, monkeypatch):
+    monkeypatch.setattr(geo_sim, "BLOCK", block)  # draws of SCALAR_BLOCKS * block slots
+    seed = 300 * c + n + (batches or 0)
+    assert _scalar_output(c, n, batches, seed) == _cached_reference(c, n, batches, seed)
+
+
+@pytest.mark.parametrize("c", list(PARAMS))
+def test_scalar_maxima_over_short_horizons(c):
+    # a climb in the last group of L slots is the only one no later group sees
+    for n in range(1, 13):
+        for seed in range(40):
+            want = _reference_scalar_output(c, n, None, seed)
+            assert simulate_max_length(PARAMS[c], n, seed) == want, (n, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,9 +157,11 @@ def test_vector_kernel_matches_exact_recursion(p, r, c, n, reps, master):
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
-       n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000]),
+       n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000, SCALAR_BLOCK - 1, SCALAR_BLOCK])
+       | st.integers(SCALAR_BLOCK + 1, 2 * SCALAR_BLOCK + 6),
        cuts=st.lists(st.floats(0.0, 1.0), max_size=4), seed=st.integers(0, 2**63 - 1))
 @example(p=0.3, r=0.25, c=2, n=BLOCK + 1, cuts=[0.5, 0.0, 0.5], seed=1)  # two empty batches
+@example(p=1 / 3, r=1 / 2, c=1, n=2 * SCALAR_BLOCK + 5, cuts=[0.5], seed=2)  # batches past a draw
 def test_scalar_path_matches_exact_recursion(p, r, c, n, cuts, seed):
     assume(p < c * r)
     edges = sorted([0, n, *(round(x * n) for x in cuts)])  # repeats make empty batches
@@ -186,13 +217,13 @@ def _largest_group_index(c, cuts, group):
 
 
 def test_group_indices_fit_int16():
-    # _gather_maxima stores each group index in int16, and matmul wraps silently.
+    # _group_indices builds each group index in int16, and Horner's rule wraps silently.
     # Law k adds k+1 partial sums, so there are at most (c+1)(c+2)/2 cuts.
     # From c = 39 on, even a walk of one slot per group overflows int16.
     overflows = next(c for c in count(1)
                      if _largest_group_index(c, (c + 1) * (c + 2) // 2, 1) > INT16_MAX)
     assert overflows == 39
-    assert MAX_SERVERS < overflows, "c >= 39 needs a wider group index in _gather_maxima"
+    assert MAX_SERVERS < overflows, "c >= 39 needs a wider group index in _group_indices"
 
 
 def _check_walk_tables(c, table):
@@ -204,17 +235,20 @@ def _check_walk_tables(c, table):
     walks = geo_sim._walk_tables(c, table)
     group, radix = len(walks) - 1, len(table)
     span = c * group + 1
-    for k, (delta, top) in enumerate(walks[1:], 1):
+    for k, (delta, top, area) in enumerate(walks[1:], 1):
         combos, starts = np.meshgrid(np.arange(radix**k), np.arange(span + 3), indexing="ij")
         u = starts.copy()
         high = starts.copy()
+        path = np.zeros_like(starts)
         for i in range(k):
             u = u + table[combos // radix**i % radix, np.minimum(u, c)]
             high = np.maximum(high, u)
+            path += u - starts
         at = combos * span + np.minimum(starts, span - 1)
         assert np.array_equal(delta[at], u - starts)
         assert np.array_equal(top[at], high - starts)
-        assert len(delta) == len(top) == radix**k * span
+        assert np.array_equal(area[at], path)
+        assert len(delta) == len(top) == len(area) == radix**k * span
     return group
 
 
