@@ -23,7 +23,6 @@ from .mm_analysis import (MM1Asymptotics, MMParams, expected_max_wait_mm1,
                           validate_mm_params)
 from .mm_sim import (MMSimConfig, WaitDetail, WaitSimResult, assign_service_starts,
                      replicate_wait_maxima, simulate_wait_detail)
-from .numerics import fixed_point_root, polynomial_roots, solve_linear_system
 from .params import GeoParams, increment_distribution, validate_geo_params
 from .replication import (PRNG_ALGORITHM, SEED_DERIVATION, SimResult,
                           substream_generator, substream_seed)
@@ -38,8 +37,6 @@ __all__ = [
     "DegenerateSampleError", "HeuristicRangeWarning",
     # discrete-queue parameters and increments
     "GeoParams", "validate_geo_params", "increment_distribution",
-    # numeric kernels
-    "polynomial_roots", "solve_linear_system", "fixed_point_root",
     # discrete-queue analytics
     "GeoAnalysis", "NuRecord", "MaxLengthLaw", "analyze_geo", "decay_rate_omega",
     "stationary_distribution", "hitting_probabilities", "max_length_law",

@@ -71,10 +71,7 @@ class GeoAnalysis:
     """
 
     def __post_init__(self):
-        if not 0.0 < self.omega < 1.0:
-            raise DegenerateRootsError(f"omega={self.omega} is not in (0, 1)")
-        if any(not 0.0 < b < 1.0 for b in self.pi_boundary) or not 0.0 < self.pi_c < 1.0:
-            raise DegenerateRootsError("stationary masses must lie in (0, 1)")
+        # omega and pi come certified from decay_rate_omega and _stationary_from_omega
         if not self.beta > 0.0:
             raise DegenerateRootsError(f"beta={self.beta} must be positive")
 
@@ -128,7 +125,8 @@ def _stationary_from_omega(params: GeoParams, omega: float):
     across the cut below level k, and the flows balance (Kelly 1979, Lemma 1.4):
     pi_{k-1} P_{k-1}(X = +1) = sum_{j=k..k+c-1} pi_j P_{min(j,c)}(X <= k-1-j).
     With the tail pi_j = omega^(j-c) pi_c every term is a product of probabilities,
-    so nothing cancels. Raises DegenerateRootsError for a mass outside (0, 1)."""
+    so nothing cancels. Raises DegenerateRootsError for a boundary mass outside
+    (0, 1] or a pi_c outside (0, 1); in light traffic pi_0 = 1 - O(p) rounds to 1."""
     c = params.c
     table = increment_distribution(params)
     up = table[:c, -1].tolist()  # P_b(X = +1) = p*s^b > 0
@@ -139,8 +137,9 @@ def _stationary_from_omega(params: GeoParams, omega: float):
         ratio[k - 1] = down / up[k - 1]
     pi_c = 1.0 / (1.0 / (1.0 - omega) + sum(ratio[:c]))
     boundary = tuple(mass * pi_c for mass in ratio[:c])
-    if any(not 0.0 < b < 1.0 for b in boundary) or not 0.0 < pi_c < 1.0:
-        raise DegenerateRootsError(f"stationary masses {boundary}, {pi_c} not all in (0, 1)")
+    if any(not 0.0 < b <= 1.0 for b in boundary) or not 0.0 < pi_c < 1.0:
+        raise DegenerateRootsError(
+            f"stationary masses {boundary} not all in (0, 1] or {pi_c} not in (0, 1)")
     return boundary, pi_c
 
 
@@ -265,6 +264,11 @@ class MaxLengthLaw:
         return exp(-self.beta * self.n * self.omega**k)
 
     def mean(self) -> float:
+        """Warns (but still evaluates) below one expected clump, where it can be negative."""
+        if self.beta * self.n < 1.0:
+            warnings.warn(f"expected maximum evaluated at beta*n={self.beta * self.n:.6g} < 1; "
+                          "the asymptotic approximation is unreliable there",
+                          HeuristicRangeWarning, stacklevel=2)
         return self.slope * log(self.n) + self.intercept
 
 

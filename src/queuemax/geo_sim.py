@@ -293,7 +293,7 @@ def replicate_max_length(config: GeoSimConfig) -> SimResult:
 
     The sample multiset depends only on (params, n, reps, seed): substreams
     are derived per replication index, and REP_CHUNK, which bounds the
-    increment table's memory, has no effect on the result.
+    generators alive at once, has no effect on the result.
     """
     seeds = [substream_seed(config.seed, i) for i in range(config.reps)]
     samples = np.empty(config.reps, dtype=np.int64)

@@ -12,13 +12,14 @@ formula for any number of servers.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from math import exp, inf, log
+from math import exp, inf, isfinite, log
 from typing import Literal
 
 import numpy as np
 
-from .errors import RangeError, StabilityError, UnsupportedError
+from .errors import HeuristicRangeWarning, RangeError, StabilityError, UnsupportedError
 from .stats import EULER_GAMMA
 
 Kind = Literal["system", "queue"]
@@ -73,14 +74,14 @@ def validate_mm_params(lam: float, mu: float, c: int) -> MMParams:
 class MM1Asymptotics:
     """Scaling constants of the single-server maximum-wait Gumbel limit."""
 
-    kind: str
     scale: float          # 1 / (mu - lambda)
     rate_constant: float  # lambda (1-rho)^2, times rho for the queue wait
 
     def __post_init__(self):
-        _check_kind(self.kind)
-        if not (self.scale > 0.0 and self.rate_constant > 0.0):
-            raise RangeError("scale and rate constant must be positive")
+        # both are positive for any stable queue, so only underflow gives a zero
+        for name, value in (("scale", self.scale), ("rate constant", self.rate_constant)):
+            if not value > 0.0:
+                raise RangeError(f"{name} {value} is not positive: it underflowed")
 
 
 def mm1_asymptotics(params: MMParams, kind: Kind) -> MM1Asymptotics:
@@ -92,7 +93,7 @@ def mm1_asymptotics(params: MMParams, kind: Kind) -> MM1Asymptotics:
     rate = params.lam * (1.0 - rho) ** 2
     if kind == "queue":
         rate *= rho
-    return MM1Asymptotics(kind, 1.0 / (params.mu - params.lam), rate)
+    return MM1Asymptotics(1.0 / (params.mu - params.lam), rate)
 
 
 def max_wait_cdf_mm1(params: MMParams, kind: Kind, n: float, y) -> float:
@@ -100,6 +101,8 @@ def max_wait_cdf_mm1(params: MMParams, kind: Kind, n: float, y) -> float:
     if n <= 0:
         raise RangeError(f"horizon must be positive, got {n}")
     asym = mm1_asymptotics(params, kind)
+    if not isfinite(asym.rate_constant * n):
+        raise RangeError(f"A*n = {asym.rate_constant} * {n} overflows")
     y_arr = np.asarray(y, dtype=np.float64)
     if np.any(y_arr < 0.0):
         raise RangeError("wait times are nonnegative")
@@ -108,10 +111,17 @@ def max_wait_cdf_mm1(params: MMParams, kind: Kind, n: float, y) -> float:
 
 
 def expected_max_wait_mm1(params: MMParams, kind: Kind, n: float) -> float:
-    """E(max wait over [0, n]) = [ln(n) + gamma + ln A] / (mu - lambda)."""
+    """E(max wait over [0, n]) = [ln(n) + gamma + ln A] / (mu - lambda).
+
+    Warns (but still evaluates) below one expected exceedance, A * n < 1, where it
+    can be negative."""
     if n <= 0:
         raise RangeError(f"horizon must be positive, got {n}")
     asym = mm1_asymptotics(params, kind)
+    if asym.rate_constant * n < 1.0:
+        warnings.warn(f"expected maximum wait evaluated at A*n={asym.rate_constant * n:.6g} < 1; "
+                      "the asymptotic approximation is unreliable there",
+                      HeuristicRangeWarning, stacklevel=2)
     return asym.scale * (log(n) + EULER_GAMMA + log(asym.rate_constant))
 
 
@@ -132,4 +142,6 @@ def mean_wait(params: MMParams, kind: Kind) -> float:
         blocking = offered * blocking / (k + offered * blocking)
     waiting = blocking / (1.0 - params.utilization * (1.0 - blocking))
     queue_wait = waiting / (c * mu - lam)
+    if not isfinite(queue_wait):
+        raise RangeError(f"mean queue wait {waiting} / (c*mu - lambda = {c * mu - lam}) overflows")
     return queue_wait + (1.0 / mu if kind == "system" else 0.0)

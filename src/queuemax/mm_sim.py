@@ -75,12 +75,12 @@ def assign_service_starts(arrivals, services, c: int) -> np.ndarray:
     if c < 1:
         raise RangeError(f"need at least one server, got {c}")
     free = [0.0] * min(c, arrivals.size)  # a heap: free[0] is the earliest; spare servers idle
-    starts = np.empty(arrivals.size)
-    for i, (arrival, service) in enumerate(zip(arrivals.tolist(), services.tolist())):
+    starts = []
+    for arrival, service in zip(arrivals.tolist(), services.tolist()):
         start = arrival if arrival > free[0] else free[0]
-        starts[i] = start
+        starts.append(start)
         heapreplace(free, start + service)
-    return starts
+    return np.array(starts, dtype=np.float64)
 
 
 def _draw_customers(params: MMParams, n: float, gen: np.random.Generator):

@@ -1,17 +1,25 @@
 """Command-line surface: reports, file outputs, determinism, exit codes."""
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import queuemax
-from queuemax import ECDF, MaxLengthLaw, summarize
+from queuemax import (ECDF, HeuristicRangeWarning, MaxLengthLaw, RangeError, StabilityError,
+                      summarize, validate_mm_params)
 from queuemax.cli import (CDF_POINTS, CDF_PROB_FLOOR, _atomic_write, _geo_cdf_table,
                           console_main, main, parse_number)
 
@@ -488,3 +496,66 @@ class TestExitCodes:
         rejected = cli("analyze", "geo", "--p", "1/3", "--r", "1/6", "--c", "3", "--n", "1")
         assert rejected.returncode == 2
         assert "n >= 2" in rejected.stderr
+
+
+class TestAnalyticEdges:
+    @pytest.mark.parametrize("argv,section,key", [
+        (["geo", "--p", "0.5", "--r", "0.5000000001", "--c", "1", "--n", "1e6"],
+         "max_length", "expected_max"),  # beta * n = 4e-14: -7.6e10
+        (["mm", "--lambda", "1", "--mu", "2", "--c", "1", "--n", "1e-300"],
+         "max_wait", "expected_max_que"),  # A * n = 1.25e-301: -692
+    ])
+    def test_negative_expected_maximum_warns_and_exits_0(self, argv, section, key, tmp_path,
+                                                         capsys):
+        with pytest.warns(HeuristicRangeWarning):
+            assert main(["analyze", *argv, "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "summary.json")[section][key] < 0.0
+
+    def test_boundary_mass_of_one_analyzes(self, capsys):
+        with pytest.warns(HeuristicRangeWarning):  # beta * n = 1e-13 at the default n
+            assert main(["analyze", "geo", "--p", "1e-17", "--r", "0.5", "--c", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["pi"]["boundary"] == [1.0]
+
+
+def _finite_numbers(value):
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+MM_SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)  # log-uniform
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.integers(1, 4), mu=MM_SCALE, n=MM_SCALE,
+       load=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(c=1, mu=2.0, n=10.0, load=0.5e-300)  # lambda = 1e-300: the queue-wait constant underflows
+@example(c=1, mu=2e200, n=1e200, load=0.5)  # A*n overflows
+@example(c=4, mu=1e-300, n=1.0, load=1 - 2**-53)  # the mean wait overflows
+def test_analyze_mm_reports_finite_numbers_or_exits_2(c, mu, n, load):
+    """`analyze mm` on every stable input: exit 0 with finite report numbers and a
+    cdf.csv free of nan, or exit 2 with one of the library's typed errors."""
+    lam = load * c * mu
+    try:
+        validate_mm_params(lam, mu, c)
+    except (RangeError, StabilityError):
+        assume(False)
+    argv = ["analyze", "mm", "--lambda", repr(lam), "--mu", repr(mu), "--c", str(c),
+            "--n", repr(n)]
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("ignore", HeuristicRangeWarning)
+        code = main(argv + ["--out", tmp])
+        out = Path(tmp)
+        if code == 2:
+            assert stderr.getvalue().startswith("error: ")
+            assert not any(out.iterdir())
+            return
+        assert code == 0
+        assert _finite_numbers(read_json(out / "summary.json"))
+        if c == 1:
+            _, rows = read_csv(out / "cdf.csv")
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row)

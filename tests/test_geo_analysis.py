@@ -1,4 +1,5 @@
 """Analytic pipeline for the discrete queue, checked against independent oracles."""
+import warnings
 from math import log, ulp
 
 import numpy as np
@@ -133,6 +134,16 @@ class TestStationaryDistribution:
         # normalises to masses (nan, 0, 0) and pi_3 = 0
         with pytest.raises(DegenerateRootsError):
             stationary_distribution(validate_geo_params(1e-120, 0.5, 3))
+
+    def test_light_traffic_boundary_mass_may_round_to_one(self):
+        # pi_0 = 1 - O(p) rounds to 1.0 below p ~ 1e-16, which is still a right law
+        params = validate_geo_params(1e-17, 0.5, 1)
+        boundary, pi_c = stationary_distribution(params)
+        assert boundary == (1.0,)
+        exact_boundary, exact_pi_c = stationary_by_exact_column_balance(params)
+        ours, exact = np.array([*boundary, pi_c]), np.array([*exact_boundary, exact_pi_c])
+        assert float(np.max(np.abs(ours / exact - 1.0))) < 1e-12
+        assert analyze_geo(params).pi_boundary == (1.0,)
 
     def test_law_is_positive_for_any_omega(self):
         # the cut balances add products of probabilities, so even omega off its
@@ -309,6 +320,21 @@ class TestClumpRateAndMaxLaw:
         with pytest.warns(HeuristicRangeWarning):
             value = max_length_law(analysis, 100).cdf(2)
         assert 0.0 <= value <= 1.0
+
+    def test_mean_warns_below_one_clump(self):
+        # c = 1, r = 0.05, load 0.9999 of the benchmark's sweep: beta * n = 5.3e-5
+        analysis, n = analyze_geo(validate_geo_params(0.05 * 0.9999, 0.05, 1)), 10**5
+        assert analysis.beta * n < 1.0
+        with pytest.warns(HeuristicRangeWarning, match="beta\\*n"):
+            assert expected_max_length(analysis, n) == pytest.approx(-88108.6, abs=0.1)
+
+    def test_mean_is_silent_from_one_clump(self):
+        analysis = analyze_geo(REFERENCE)
+        n = 1.0 / analysis.beta + 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            max_length_law(analysis, 100).mean()  # beta * n = 8.4
+            max_length_law(analysis, n).mean()
 
     def test_expected_max_affine_in_log_n(self):
         analysis = analyze_geo(REFERENCE)

@@ -1,12 +1,14 @@
 """Closed forms for the continuous-time queue."""
+import warnings
+from dataclasses import fields
 from math import exp, log
 
 import numpy as np
 import pytest
 
-from queuemax import (EULER_GAMMA, RangeError, StabilityError, UnsupportedError,
-                      expected_max_wait_mm1, max_wait_cdf_mm1, mean_wait,
-                      mm1_asymptotics, validate_mm_params)
+from queuemax import (EULER_GAMMA, HeuristicRangeWarning, MM1Asymptotics, RangeError,
+                      StabilityError, UnsupportedError, expected_max_wait_mm1,
+                      max_wait_cdf_mm1, mean_wait, mm1_asymptotics, validate_mm_params)
 from oracles import mm_queue_wait_birth_death, mm_queue_wait_rational
 
 SINGLE = validate_mm_params(1 / 3, 1 / 2, 1)
@@ -67,6 +69,39 @@ class TestExpectedMaxWait:
             expected_max_wait_mm1(TWO, "system", 1000.0)
         with pytest.raises(UnsupportedError):
             mm1_asymptotics(THREE, "queue")
+
+    def test_warns_below_one_expected_exceedance(self):
+        # c = 1, load 0.999 of the benchmark's sweep: maxima -4839 and -4841
+        params, n = validate_mm_params(0.999 * 0.5, 0.5, 1), 1e5
+        for kind in ("system", "queue"):
+            assert mm1_asymptotics(params, kind).rate_constant * n < 1.0
+            with pytest.warns(HeuristicRangeWarning, match="A\\*n"):
+                assert expected_max_wait_mm1(params, kind, n) < 0.0
+
+    def test_silent_from_one_expected_exceedance(self):
+        n = 1.5 / mm1_asymptotics(SINGLE, "queue").rate_constant  # A n = 1.5 and 2.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("system", "queue"):
+                expected_max_wait_mm1(SINGLE, kind, n)
+
+
+class TestAsymptotics:
+    def test_record_holds_only_the_two_constants(self):
+        assert [field.name for field in fields(MM1Asymptotics)] == ["scale", "rate_constant"]
+
+    def test_underflowing_rate_constant_is_named(self):
+        # lambda rho (1 - rho)^2 = 1e-300 * 5e-301 * (1 - 5e-301)^2 underflows to 0
+        params = validate_mm_params(1e-300, 2.0, 1)
+        assert mm1_asymptotics(params, "system").rate_constant == 1e-300
+        with pytest.raises(RangeError, match="rate constant 0.0 is not positive: it underflowed"):
+            mm1_asymptotics(params, "queue")
+
+    def test_overflowing_cdf_rate_is_rejected(self):
+        # A n = 2.5e199 * 1e200 is past the float range, where the CDF would be nan
+        params = validate_mm_params(1e200, 2e200, 1)
+        with pytest.raises(RangeError, match="overflows"):
+            max_wait_cdf_mm1(params, "system", 1e200, 1.0)
 
 
 class TestMaxWaitCdf:
@@ -141,6 +176,12 @@ class TestMeanWait:
         many, fewer = validate_mm_params(100.0, 1.0, 10**6), validate_mm_params(100.0, 1.0, 2000)
         for kind in ("queue", "system"):
             assert mean_wait(many, kind) == mean_wait(fewer, kind)
+
+    def test_overflowing_mean_wait_is_rejected(self):
+        # c*mu - lambda rounds to 6.6e-316, so the mean queue wait is past 1e315
+        params = validate_mm_params(4e-300 * (1 - 2**-53), 1e-300, 4)
+        with pytest.raises(RangeError, match="overflows"):
+            mean_wait(params, "queue")
 
     def test_gumbel_mean_consistency(self):
         # mean of the implied Gumbel law equals the expected-maximum formula

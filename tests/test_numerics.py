@@ -7,9 +7,9 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from queuemax import (BracketError, ConvergenceError, RangeError, SingularError,
-                      fixed_point_root, polynomial_roots, solve_linear_system,
                       validate_geo_params)
 from queuemax.geo_analysis import _divide_out_root_at_one
+from queuemax.numerics import fixed_point_root, polynomial_roots, solve_linear_system
 from oracles import real_roots_by_bisection
 
 
