@@ -11,7 +11,7 @@ statistics layer for confronting the two.
 __version__ = "0.1.0"
 
 from .errors import (BracketError, ConvergenceError, DegenerateRootsError,
-                     DegenerateSampleError, HeuristicRangeWarning, QueueMaxError,
+                     DegenerateSampleError, HeuristicRangeWarning, NumericError, QueueMaxError,
                      RangeError, SingularError, StabilityError, UnsupportedError)
 from .geo_analysis import (GeoAnalysis, MaxLengthLaw, NuRecord, analyze_geo, decay_rate_omega,
                            expected_max_length, hitting_probabilities, max_length_law,
@@ -33,7 +33,7 @@ __all__ = [
     "__version__",
     # errors
     "QueueMaxError", "RangeError", "StabilityError", "UnsupportedError",
-    "ConvergenceError", "SingularError", "BracketError", "DegenerateRootsError",
+    "NumericError", "ConvergenceError", "SingularError", "BracketError", "DegenerateRootsError",
     "DegenerateSampleError", "HeuristicRangeWarning",
     # discrete-queue parameters and increments
     "GeoParams", "validate_geo_params", "increment_distribution",

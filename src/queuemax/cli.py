@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (BracketError, ConvergenceError, DegenerateRootsError, QueueMaxError,
-                     RangeError, SingularError)
+from .errors import NumericError, QueueMaxError, RangeError
 from .geo_analysis import analyze_geo, expected_max_length, max_length_law
 # not called here; kept as cli.mean_queue_length, which the perfbench tracer wraps and probes call
 from .geo_analysis import mean_queue_length  # noqa: F401
@@ -38,7 +37,7 @@ from .mm_analysis import (expected_max_wait_mm1, max_wait_cdf_mm1, mean_wait,
                           mm1_asymptotics, validate_mm_params)
 from .mm_sim import EXPONENTIAL_METHOD, MMSimConfig, replicate_wait_maxima
 from .params import validate_geo_params
-from .replication import PRNG_ALGORITHM, SEED_DERIVATION, check_master_seed
+from .replication import PRNG_ALGORITHM, SEED_DERIVATION, check_campaign
 from .stats import gumbel_fit_two_moment, ks_distance
 
 DEFAULT_MASTER_SEED = 123456789  # fixed so default runs reproduce; --seed random opts out
@@ -49,8 +48,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_NUMERIC_ERRORS = (ConvergenceError, SingularError, BracketError, DegenerateRootsError)
 
 
 def parse_number(text: str) -> float:
@@ -69,7 +66,7 @@ def parse_seed(text: str) -> int:
         return secrets.randbits(63)
     try:
         seed = int(text, 0)
-        check_master_seed(seed)
+        check_campaign(seed)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"seed must be an integer in [0, 2**64) or 'random': {text!r}") from exc
@@ -104,32 +101,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, names):
-    for name in names:
+def _inputs(args):
+    """Validated parameters and horizon: time steps (geo) or interval length (mm)."""
+    geo = args.target == "geo"
+    for name in ("p", "r") if geo else ("lam", "mu"):
         if getattr(args, name) is None:
             flag = "--lambda" if name == "lam" else f"--{name}"
             raise RangeError(f"{flag} is required for target {args.target!r}")
-
-
-def _geo_inputs(args):
-    """Validated parameters and horizon in time steps."""
-    _require(args, ("p", "r"))
-    params = validate_geo_params(args.p, args.r, args.c)
-    if not 1 <= args.n < inf or args.n != int(args.n):
-        raise RangeError(f"--n must be a positive integer of time steps, got {args.n}")
-    return params, int(args.n)
-
-
-def _mm_inputs(args):
-    """Validated parameters and interval length."""
-    _require(args, ("lam", "mu"))
+    if geo:
+        params = validate_geo_params(args.p, args.r, args.c)
+        if not 1 <= args.n < inf or args.n != int(args.n):
+            raise RangeError(f"--n must be a positive integer of time steps, got {args.n}")
+        return params, int(args.n)
     params = validate_mm_params(args.lam, args.mu, args.c)
     if not 0 < args.n < inf:
         raise RangeError(f"--n must be a positive, finite interval length, got {args.n}")
     return params, float(args.n)
-
-
-_INPUTS = {"geo": _geo_inputs, "mm": _mm_inputs}
 
 
 # ---------------------------------------------------------------- reports
@@ -286,13 +273,6 @@ def _mm1_cdfs(params, n) -> dict:
     return {label: partial(max_wait_cdf_mm1, params, kind, n) for label, kind in MM_KINDS}
 
 
-def _mm_cdf_grid(params, n):
-    """y grid covering the single-server maximum-wait law up to its far tail."""
-    asym_rate = mm1_asymptotics(params, "system").rate_constant
-    y_hi = (np.log(asym_rate * n) - np.log(-np.log(1.0 - 1e-6))) / (params.mu - params.lam)
-    return np.linspace(0.0, max(y_hi, 1.0), CDF_POINTS)
-
-
 def _analyze_mm(params, n, *_):
     report = {
         "target": "mm",
@@ -308,9 +288,15 @@ def _analyze_mm(params, n, *_):
             "note": "no analytic maximum-wait formulas for c >= 2; use simulate or compare",
         }
         return report, None, None
+    asym = mm1_asymptotics(params, "system")
     report["max_wait"] = {"available": True, **_mm1_expected_maxima(params, n),
-                          "slope": 1.0 / (params.mu - params.lam)}
-    grid = _mm_cdf_grid(params, n)
+                          "slope": asym.scale}
+    # y from 0 up to the law's far tail, and at least to 1; RangeError where A*n overflows,
+    # and where it underflows to 0 the law is 1 from y = 0 on
+    exceedances, y_hi = asym.exceedances(n), 1.0
+    if exceedances > 0.0:
+        y_hi = (np.log(exceedances) - np.log(-np.log(1.0 - 1e-6))) / (params.mu - params.lam)
+    grid = np.linspace(0.0, max(y_hi, 1.0), CDF_POINTS)
     columns = [grid.tolist()] + [cdf(grid).tolist() for cdf in _mm1_cdfs(params, n).values()]
     return report, None, (["y", "predicted_sys", "predicted_que"], list(zip(*columns)))
 
@@ -449,7 +435,7 @@ def run(argv) -> int:
     started = time.perf_counter()
 
     seed = getattr(args, "seed", None)
-    params, n = _INPUTS[args.target](args)
+    params, n = _inputs(args)
     report, samples_pack, cdf_pack = _BUILDERS[args.command, args.target](
         params, n, getattr(args, "reps", None), seed)
 
@@ -471,7 +457,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         return run(argv)
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -17,20 +17,24 @@ class UnsupportedError(QueueMaxError, ValueError):
     """Requested configuration is outside the implemented range."""
 
 
-class ConvergenceError(QueueMaxError, ArithmeticError):
+class NumericError(QueueMaxError):
+    """A numeric kernel failed its own check on valid input; the CLI exits 3."""
+
+
+class ConvergenceError(NumericError, ArithmeticError):
     """A kernel's result failed its tolerance (root residual, stalled bisection,
     a simulated queue length past its sanity cap)."""
 
 
-class SingularError(QueueMaxError, ArithmeticError):
+class SingularError(NumericError, ArithmeticError):
     """A linear system is singular or too ill-conditioned to solve reliably."""
 
 
-class BracketError(QueueMaxError, ValueError):
+class BracketError(NumericError, ValueError):
     """Bracketing endpoints do not straddle a sign change."""
 
 
-class DegenerateRootsError(QueueMaxError, ArithmeticError):
+class DegenerateRootsError(NumericError, ArithmeticError):
     """Root configuration violates the assumptions of the hitting-probability solve."""
 
 

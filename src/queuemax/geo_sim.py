@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import ConvergenceError, RangeError
 from .params import GeoParams, increment_distribution
-from .replication import (SimResult, check_integers, check_master_seed, make_sim_result,
-                          substream_generators, substream_seed)
+from .replication import (SimResult, check_campaign, make_sim_result, substream_generators,
+                          substream_seed)
 
 BLOCK = 512        # slots per generator call (performance only: the stream does not depend on it)
 REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
@@ -78,12 +78,7 @@ class GeoSimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise RangeError(f"horizon must be at least 1 step, got {self.n}")
-        if self.reps < 1:
-            raise RangeError(f"need at least 1 replication, got {self.reps}")
-        check_master_seed(self.seed)
-        check_integers(n=self.n, reps=self.reps)
+        check_campaign(self.seed, horizon=self.n, replications=self.reps)
 
 
 def _decode_table(params: GeoParams):
@@ -279,8 +274,7 @@ def time_average_queue_length(params: GeoParams, n: int, seed: int, batches: int
     """
     if n < batches or batches < 2:
         raise RangeError(f"need n >= batches >= 2, got n={n}, batches={batches}")
-    GeoSimConfig(params, n, 1, seed)
-    check_integers(batches=batches)
+    check_campaign(seed, horizon=n, batches=batches)
     edges = [round(i * n / batches) for i in range(batches + 1)]
     gen = np.random.Generator(np.random.PCG64(seed))
     _, batch_sums = _run_single(params, gen, edges)

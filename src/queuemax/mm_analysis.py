@@ -20,23 +20,24 @@ from typing import Literal
 import numpy as np
 
 from .errors import HeuristicRangeWarning, RangeError, StabilityError, UnsupportedError
+from .params import normalise
 from .stats import EULER_GAMMA
 
 Kind = Literal["system", "queue"]
 
 
-def _check_kind(kind: str) -> str:
+def _check_kind(kind: str) -> None:
     if kind not in ("system", "queue"):
         raise RangeError(f"kind must be 'system' or 'queue', got {kind!r}")
-    return kind
 
 
 @dataclass(frozen=True)
 class MMParams:
     """Poisson-arrival, exponential-service queue parameters.
 
-    lam is the arrival rate, mu the per-server service rate, c the server
-    count. Stability requires lam < c*mu.
+    lam is the arrival rate, mu the per-server service rate, both stored as
+    positive finite floats; c is the server count, stored as a positive int.
+    Stability requires lam < c*mu.
     """
 
     lam: float
@@ -44,8 +45,9 @@ class MMParams:
     c: int
 
     def __post_init__(self):
-        if int(self.c) != self.c or self.c < 1:
-            raise UnsupportedError(f"server count must be a positive integer, got {self.c!r}")
+        normalise(self, "lam", "mu")
+        if self.c < 1:
+            raise UnsupportedError(f"server count must be positive, got {self.c}")
         for name, value in (("lam", self.lam), ("mu", self.mu)):
             if not 0.0 < value < inf:
                 raise RangeError(f"{name} must be positive and finite, got {value}")
@@ -65,9 +67,8 @@ class MMParams:
 
 
 def validate_mm_params(lam: float, mu: float, c: int) -> MMParams:
-    if int(c) != c:
-        raise UnsupportedError(f"server count must be an integer, got {c!r}")
-    return MMParams(float(lam), float(mu), int(c))
+    """MMParams(lam, mu, c), which checks and normalises its own fields."""
+    return MMParams(lam, mu, c)
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,12 @@ class MM1Asymptotics:
         for name, value in (("scale", self.scale), ("rate constant", self.rate_constant)):
             if not value > 0.0:
                 raise RangeError(f"{name} {value} is not positive: it underflowed")
+
+    def exceedances(self, n: float) -> float:
+        """A*n, the law's expected exceedances of y = 0 over [0, n]; RangeError on overflow."""
+        if not isfinite(self.rate_constant * n):
+            raise RangeError(f"A*n = {self.rate_constant} * {n} overflows")
+        return self.rate_constant * n
 
 
 def mm1_asymptotics(params: MMParams, kind: Kind) -> MM1Asymptotics:
@@ -101,12 +108,11 @@ def max_wait_cdf_mm1(params: MMParams, kind: Kind, n: float, y) -> float:
     if n <= 0:
         raise RangeError(f"horizon must be positive, got {n}")
     asym = mm1_asymptotics(params, kind)
-    if not isfinite(asym.rate_constant * n):
-        raise RangeError(f"A*n = {asym.rate_constant} * {n} overflows")
+    exceedances = asym.exceedances(n)
     y_arr = np.asarray(y, dtype=np.float64)
     if np.any(y_arr < 0.0):
         raise RangeError("wait times are nonnegative")
-    out = np.exp(-asym.rate_constant * n * np.exp(-y_arr / asym.scale))
+    out = np.exp(-exceedances * np.exp(-y_arr / asym.scale))
     return float(out) if np.ndim(y) == 0 else out
 
 

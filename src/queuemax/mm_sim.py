@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import RangeError
 from .mm_analysis import MMParams
-from .replication import (SimResult, check_integers, check_master_seed, make_sim_result,
-                          substream_generators, substream_seed)
+from .replication import (SimResult, check_campaign, make_sim_result, substream_generators,
+                          substream_seed)
 
 EXPONENTIAL_METHOD = "inverse CDF: -log1p(-U)/mu"
 _INT64_MAX = np.iinfo(np.int64).max
@@ -41,10 +41,7 @@ class MMSimConfig:
         if not customers <= POISSON_MEAN_MAX:
             raise RangeError(f"expected customers per run lambda*n = {customers:.6g} "
                              f"exceeds the Poisson limit {POISSON_MEAN_MAX:.6g}")
-        if self.reps < 1:
-            raise RangeError(f"need at least 1 replication, got {self.reps}")
-        check_master_seed(self.seed)
-        check_integers(reps=self.reps)
+        check_campaign(self.seed, replications=self.reps)
 
 
 @dataclass(frozen=True)

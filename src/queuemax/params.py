@@ -1,4 +1,5 @@
-"""Discrete-queue parameter records and the one-step increment table.
+"""Discrete-queue parameter records and the one-step increment table, plus `normalise`,
+the field rule GeoParams and MMParams share.
 
 The increment table (one law per busy count k: arrival Bernoulli(p)
 convolved with Binomial(k, r) departures) is the single source of truth for
@@ -16,12 +17,29 @@ from .errors import RangeError, StabilityError, UnsupportedError
 MAX_SERVERS = 3
 
 
+def normalise(record, *rates: str) -> None:
+    """Store a frozen record's rates as floats and its server count c as an int.
+
+    UnsupportedError unless c is an integral number: 3, np.int64(3) and 3.0
+    pass; 2.5, nan, inf and "3" do not."""
+    try:
+        integral = record.c == int(record.c)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise UnsupportedError(f"server count must be an integer, got {record.c!r}")
+    for name in rates:
+        object.__setattr__(record, name, float(getattr(record, name)))
+    object.__setattr__(record, "c", int(record.c))
+
+
 @dataclass(frozen=True)
 class GeoParams:
-    """Bernoulli-arrival, geometric-service queue parameters.
+    """Bernoulli-arrival, geometric-service queue parameters, checked and normalised.
 
     p is the arrival probability per time slot, r the per-server departure
-    probability per slot, c the number of servers. Stability requires p < c*r.
+    probability per slot, both stored as floats; c is the number of servers,
+    stored as an int in 1..MAX_SERVERS. Stability requires p < c*r.
     """
 
     p: float
@@ -29,8 +47,7 @@ class GeoParams:
     c: int
 
     def __post_init__(self):
-        if int(self.c) != self.c:
-            raise UnsupportedError(f"server count must be an integer, got {self.c!r}")
+        normalise(self, "p", "r")
         if not 1 <= self.c <= MAX_SERVERS:
             raise UnsupportedError(
                 f"server count must be in 1..{MAX_SERVERS}, got {self.c}")
@@ -53,14 +70,8 @@ class GeoParams:
 
 
 def validate_geo_params(p: float, r: float, c: int) -> GeoParams:
-    """Validate raw numeric inputs and return the parameter record.
-
-    Raises RangeError for probabilities outside (0, 1), StabilityError when
-    p >= c*r, UnsupportedError for a server count outside 1..MAX_SERVERS.
-    """
-    if int(c) != c:
-        raise UnsupportedError(f"server count must be an integer, got {c!r}")
-    return GeoParams(float(p), float(r), int(c))
+    """GeoParams(p, r, c), which checks and normalises its own fields."""
+    return GeoParams(p, r, c)
 
 
 def increment_distribution(params: GeoParams) -> np.ndarray:

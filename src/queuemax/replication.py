@@ -47,18 +47,20 @@ def substream_generator(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(substream_seed(master_seed, index)))
 
 
-def check_integers(**values) -> None:
-    """Raise unless every value is an integer; numpy integers count, integral floats do not."""
-    for name, value in values.items():
+def check_campaign(seed: int, **counts) -> None:
+    """Raise RangeError unless `seed` is a master seed and each count an integer >= 1.
+
+    A master seed is an integer in [0, 2^64), where distinct seeds give distinct
+    runs. numpy integers count as integers, integral floats do not.
+    """
+    for name, value in dict(counts, seed=seed).items():
         if not isinstance(value, (int, np.integer)):
             raise RangeError(f"{name} must be an integer, got {value!r}")
-
-
-def check_master_seed(seed: int) -> None:
-    """Raise unless `seed` is an integer in [0, 2^64), where distinct seeds give distinct runs."""
     if not 0 <= seed <= _MASK64:
         raise RangeError(f"master seed must lie in [0, 2**64), got {seed}")
-    check_integers(seed=seed)
+    for name, count in counts.items():
+        if count < 1:
+            raise RangeError(f"{name} must be at least 1, got {count}")
 
 
 def _hasher(const: int, mult: int):

@@ -131,8 +131,7 @@ class SampleSummary:
 def summarize(samples) -> SampleSummary:
     """Sample mean, its standard error (sample stdev / sqrt(n)), and the ECDF."""
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise DegenerateSampleError("cannot summarize an empty sample")
+    ecdf = ECDF.from_samples(samples)  # raises DegenerateSampleError for an empty sample
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / sqrt(samples.size)) if samples.size > 1 else 0.0
-    return SampleSummary(mean, se, ECDF.from_samples(samples))
+    return SampleSummary(mean, se, ecdf)

@@ -469,17 +469,23 @@ class TestExitCodes:
             main(["analyze", "nowhere"])
         assert info.value.code == 2
 
-    def test_numeric_failure_is_three(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("error,code,prefix", [
+        (queuemax.ConvergenceError, 3, "numeric failure"),
+        (queuemax.SingularError, 3, "numeric failure"),
+        (queuemax.BracketError, 3, "numeric failure"),
+        (queuemax.DegenerateRootsError, 3, "numeric failure"),
+        (RangeError, 2, "error"),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_numeric_failure_is_three(self, error, code, prefix, capsys, monkeypatch):
+        # every NumericError exits 3, whatever its other bases; a validation error exits 2
         import queuemax.cli as cli_module
-        from queuemax import DegenerateRootsError
 
         def explode(params):
-            raise DegenerateRootsError("synthetic root tie")
+            raise error("synthetic failure")
 
         monkeypatch.setattr(cli_module, "analyze_geo", explode)
-        code = main(["analyze", "geo", "--p", "0.1", "--r", "0.2", "--c", "3"])
-        assert code == 3
-        assert "numeric failure" in capsys.readouterr().err
+        assert main(["analyze", "geo", "--p", "0.1", "--r", "0.2", "--c", "3"]) == code
+        assert capsys.readouterr().err == f"{prefix}: synthetic failure\n"
 
     def test_module_entry_point(self):
         src = str(Path(queuemax.__file__).resolve().parent.parent)
@@ -510,6 +516,27 @@ class TestAnalyticEdges:
         with pytest.warns(HeuristicRangeWarning):
             assert main(["analyze", *argv, "--out", str(tmp_path)]) == 0
         assert read_json(tmp_path / "summary.json")[section][key] < 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_rate_constant_exits_2_without_numpy_warnings(self, tmp_path, capsys):
+        # A*n = 2.5e199 * 1e200 is past the float range: no CDF grid is built
+        code = main(["analyze", "mm", "--lambda", "1e200", "--mu", "2e200", "--c", "1",
+                     "--n", "1e200", "--out", str(tmp_path)])
+        assert code == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_rate_constant_gives_the_unit_grid(self, tmp_path, capsys):
+        # A*n = 1.25e-301 * 1e-300 underflows to 0: the law is 1 from y = 0 on
+        with pytest.warns(HeuristicRangeWarning):
+            code = main(["analyze", "mm", "--lambda", "5e-301", "--mu", "1e-300", "--c", "1",
+                         "--n", "1e-300", "--out", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "cdf.csv")
+        ys = [float(row[0]) for row in rows]
+        assert (ys[0], ys[-1], len(ys)) == (0.0, 1.0, CDF_POINTS)
+        assert {row[1] for row in rows} == {row[2] for row in rows} == {"1.0"}
 
     def test_boundary_mass_of_one_analyzes(self, capsys):
         with pytest.warns(HeuristicRangeWarning):  # beta * n = 1e-13 at the default n

@@ -6,7 +6,7 @@ from math import exp, log
 import numpy as np
 import pytest
 
-from queuemax import (EULER_GAMMA, HeuristicRangeWarning, MM1Asymptotics, RangeError,
+from queuemax import (EULER_GAMMA, HeuristicRangeWarning, MM1Asymptotics, MMParams, RangeError,
                       StabilityError, UnsupportedError, expected_max_wait_mm1,
                       max_wait_cdf_mm1, mean_wait, mm1_asymptotics, validate_mm_params)
 from oracles import mm_queue_wait_birth_death, mm_queue_wait_rational
@@ -27,11 +27,12 @@ class TestValidation:
         with pytest.raises(RangeError):
             validate_mm_params(0.5, 0.0, 1)
 
-    def test_integer_servers_required(self):
+    @pytest.mark.parametrize("c", [1.5, 0, float("nan"), float("inf"), "2"])
+    def test_integer_servers_required(self, c):
         with pytest.raises(UnsupportedError):
-            validate_mm_params(0.1, 0.5, 1.5)
+            validate_mm_params(0.1, 0.5, c)
         with pytest.raises(UnsupportedError):
-            validate_mm_params(0.1, 0.5, 0)
+            MMParams(0.1, 0.5, c)
 
     def test_load_ratios(self):
         assert SINGLE.rho_single == pytest.approx(2 / 3, abs=1e-15)
@@ -54,15 +55,18 @@ class TestExpectedMaxWait:
         assert expected_max_wait_mm1(SINGLE, "queue", 20000) == pytest.approx(40.676, abs=1e-3)
 
     def test_system_queue_gap_identity(self):
-        # difference of the two formulas is ln(1/rho)/(mu - lambda) exactly
+        # difference of the two formulas is ln(1/rho)/(mu - lambda) exactly; one draw
+        # has A*n = 0.41 (system) and 0.39 (queue) at n = 500, below one exceedance
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            mu = float(rng.uniform(0.2, 3.0))
-            lam = float(rng.uniform(0.05, 0.95)) * mu
-            params = validate_mm_params(lam, mu, 1)
-            gap = (expected_max_wait_mm1(params, "system", 500.0)
-                   - expected_max_wait_mm1(params, "queue", 500.0))
-            assert gap == pytest.approx(log(1.0 / params.rho_single) / (mu - lam), rel=1e-10)
+        with pytest.warns(HeuristicRangeWarning, match="A\\*n") as caught:
+            for _ in range(50):
+                mu = float(rng.uniform(0.2, 3.0))
+                lam = float(rng.uniform(0.05, 0.95)) * mu
+                params = validate_mm_params(lam, mu, 1)
+                gap = (expected_max_wait_mm1(params, "system", 500.0)
+                       - expected_max_wait_mm1(params, "queue", 500.0))
+                assert gap == pytest.approx(log(1.0 / params.rho_single) / (mu - lam), rel=1e-10)
+        assert [str(w.message).split()[5] for w in caught] == ["A*n=0.411239", "A*n=0.390372"]
 
     def test_multi_server_unsupported(self):
         with pytest.raises(UnsupportedError):

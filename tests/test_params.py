@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from queuemax import (RangeError, StabilityError, UnsupportedError,
-                      increment_distribution, validate_geo_params)
+from queuemax import (GeoParams, GeoSimConfig, MMParams, MMSimConfig, RangeError,
+                      StabilityError, UnsupportedError, analyze_geo, increment_distribution,
+                      mean_wait, replicate_max_length, replicate_wait_maxima,
+                      validate_geo_params)
 
 
 def stable_grid():
@@ -37,14 +39,41 @@ class TestValidation:
         with pytest.raises(RangeError):
             validate_geo_params(p, r, 3)
 
-    @pytest.mark.parametrize("c", [0, 4, -1, 2.5])
+    @pytest.mark.parametrize("c", [0, 4, -1, 2.5, float("nan"), float("inf"), "2"])
     def test_unsupported_server_count(self, c):
         with pytest.raises(UnsupportedError):
             validate_geo_params(0.1, 0.5, c)
+        with pytest.raises(UnsupportedError):
+            GeoParams(0.1, 0.5, c)
 
     def test_boundary_of_stability_rejected(self):
         with pytest.raises(StabilityError):
             validate_geo_params(0.5, 0.25, 2)  # exactly p == c*r
+
+
+class TestNormalisedRecords:
+    """An integral server count of any numeric type makes the same record and the same run."""
+
+    COUNTS = [3, 3.0, np.int64(3)]
+
+    @pytest.mark.parametrize("c", COUNTS[1:])
+    def test_records_store_an_int_count_and_float_rates(self, c):
+        for record, reference in ((GeoParams(1 / 3, 1 / 6, c), GeoParams(1 / 3, 1 / 6, 3)),
+                                  (MMParams(1 / 3, 1 / 6, c), MMParams(1 / 3, 1 / 6, 3))):
+            assert record == reference and type(record.c) is int
+        params = GeoParams(np.float64(1 / 3), np.float32(0.25), c)
+        assert type(params.p) is float and type(params.r) is float
+        assert type(MMParams(np.float64(1 / 3), np.float32(0.25), c).mu) is float
+
+    def test_analysis_and_simulations_agree_for_every_count_type(self):
+        runs = []
+        for c in self.COUNTS:
+            geo, mm = GeoParams(1 / 3, 1 / 6, c), MMParams(1 / 3, 1 / 6, c)
+            geo_run = replicate_max_length(GeoSimConfig(geo, 2000, 8, 7))
+            mm_run = replicate_wait_maxima(MMSimConfig(mm, 200.0, 4, 7))
+            runs.append((analyze_geo(geo), geo_run.samples.tolist(), mean_wait(mm, "queue"),
+                         mm_run.max_sys.samples.tolist(), mm_run.customers.tolist()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestIncrementDistribution:
