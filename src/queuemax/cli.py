@@ -1,7 +1,7 @@
 """Command-line surface: reproducible analysis, simulation and comparison reports.
 
 Three commands, each for a `geo` (discrete-time) or `mm` (continuous-time)
-target:
+target, and each target takes only its own model flags:
 
     analyze   closed-form quantities and a plot-ready CDF table
     simulate  replicated maxima with samples, summary and manifest files
@@ -73,8 +73,18 @@ def parse_seed(text: str) -> int:
     return seed
 
 
+TARGETS = {  # target: its model flags (flag, dest, help), what --n counts, how its stream draws
+    "geo": ([("--p", "p", "arrival probability per slot"),
+             ("--r", "r", "per-server departure probability per slot")],
+            "time steps", {"increments": INCREMENT_METHOD}),
+    "mm": ([("--lambda", "lam", "arrival rate"), ("--mu", "mu", "per-server service rate")],
+           "interval length", {"exponentials": EXPONENTIAL_METHOD}),
+}
+
+
 @cache  # built once per process: building takes longer than an `analyze` command
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per (command, target), holding only that target's model flags."""
     parser = argparse.ArgumentParser(
         prog="queuemax",
         description="Queue-maximum asymptotics and Monte Carlo simulators.")
@@ -82,33 +92,26 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     for command, needs_sim in (("analyze", False), ("simulate", True), ("compare", True)):
-        sub = commands.add_parser(command)
-        sub.add_argument("target", choices=("geo", "mm"))
-        sub.add_argument("--p", type=parse_number, help="arrival probability per slot (geo)")
-        sub.add_argument("--r", type=parse_number, help="per-server departure probability (geo)")
-        sub.add_argument("--lambda", dest="lam", type=parse_number, help="arrival rate (mm)")
-        sub.add_argument("--mu", type=parse_number, help="per-server service rate (mm)")
-        sub.add_argument("--c", type=int, default=1, help="number of servers")
-        sub.add_argument("--n", type=parse_number, default=10000,
-                         help="horizon: time steps (geo) or interval length (mm)")
-        sub.add_argument("--out", type=Path, default=None,
-                         help="output directory (analyze prints to stdout when omitted)")
-        sub.add_argument("--format", choices=("json", "csv", "both"), default="both")
-        if needs_sim:
-            sub.add_argument("--reps", type=int, default=1000)
-            sub.add_argument("--seed", type=parse_seed, default=DEFAULT_MASTER_SEED,
-                             help="master seed (integer), or 'random' for entropy")
+        targets = commands.add_parser(command).add_subparsers(dest="target", required=True)
+        for target, (model, horizon, _) in TARGETS.items():
+            sub = targets.add_parser(target)
+            for flag, dest, text in model:
+                sub.add_argument(flag, dest=dest, type=parse_number, required=True, help=text)
+            sub.add_argument("--c", type=int, default=1, help="number of servers")
+            sub.add_argument("--n", type=parse_number, default=10000, help=f"horizon: {horizon}")
+            sub.add_argument("--out", type=Path, default=None,
+                             help="output directory (analyze prints to stdout when omitted)")
+            sub.add_argument("--format", choices=("json", "csv", "both"), default="both")
+            if needs_sim:
+                sub.add_argument("--reps", type=int, default=1000)
+                sub.add_argument("--seed", type=parse_seed, default=DEFAULT_MASTER_SEED,
+                                 help="master seed (integer), or 'random' for entropy")
     return parser
 
 
 def _inputs(args):
     """Validated parameters and horizon: time steps (geo) or interval length (mm)."""
-    geo = args.target == "geo"
-    for name in ("p", "r") if geo else ("lam", "mu"):
-        if getattr(args, name) is None:
-            flag = "--lambda" if name == "lam" else f"--{name}"
-            raise RangeError(f"{flag} is required for target {args.target!r}")
-    if geo:
+    if args.target == "geo":
         params = validate_geo_params(args.p, args.r, args.c)
         if not 1 <= args.n < inf or args.n != int(args.n):
             raise RangeError(f"--n must be a positive integer of time steps, got {args.n}")
@@ -127,12 +130,7 @@ def _inputs(args):
 # analytic helpers.
 
 def _prng(target) -> dict:
-    prng = {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION}
-    if target == "geo":
-        prng["increments"] = INCREMENT_METHOD
-    else:
-        prng["exponentials"] = EXPONENTIAL_METHOD
-    return prng
+    return {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION, **TARGETS[target][2]}
 
 
 def _sim_report(target, params, n, reps, seed) -> dict:
@@ -406,8 +404,8 @@ def _write_outputs(out_dir: Path, fmt: str, report, manifest,
 
 
 def _manifest(args, argv, seed, duration) -> dict:
-    params = {key: getattr(args, key) for key in ("p", "r", "lam", "mu", "c", "n")
-              if getattr(args, key, None) is not None}
+    model = [dest for _, dest, _ in TARGETS[args.target][0]]
+    params = {key: getattr(args, key) for key in (*model, "c", "n")}
     return {
         "command_line": argv,
         "command": args.command,
@@ -419,12 +417,6 @@ def _manifest(args, argv, seed, duration) -> dict:
         "version": __version__,
         "duration_seconds": duration,
     }
-
-
-def _print_headline(report) -> None:
-    for key, value in report.items():
-        if not isinstance(value, (dict, list)):
-            print(f"{key}: {value}")
 
 
 # ---------------------------------------------------------------- entry points
@@ -448,7 +440,9 @@ def run(argv) -> int:
     out_dir = args.out if args.out is not None else Path("queuemax_out")
     written = _write_outputs(out_dir, args.format, report, manifest,
                              samples=samples_pack, cdf=cdf_pack)
-    _print_headline(report)
+    for key, value in report.items():  # the headline: every scalar of the report
+        if not isinstance(value, (dict, list)):
+            print(f"{key}: {value}")
     print(f"wrote {', '.join(written)} to {out_dir}")
     return EXIT_OK
 

@@ -20,14 +20,19 @@ MAX_SERVERS = 3
 def normalise(record, *rates: str) -> None:
     """Store a frozen record's rates as floats and its server count c as an int.
 
-    UnsupportedError unless c is an integral number: 3, np.int64(3) and 3.0
-    pass; 2.5, nan, inf and "3" do not."""
+    UnsupportedError unless c is an integral number within the float range:
+    3, np.int64(3) and 3.0 pass; 2.5, nan, inf, "3" and 10**400 do not."""
     try:
         integral = record.c == int(record.c)
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
         raise UnsupportedError(f"server count must be an integer, got {record.c!r}")
+    try:
+        float(record.c)  # the stability checks multiply c by a float rate
+    except OverflowError:
+        bits = record.c.bit_length()
+        raise UnsupportedError(f"server count of {bits} bits overflows a float") from None
     for name in rates:
         object.__setattr__(record, name, float(getattr(record, name)))
     object.__setattr__(record, "c", int(record.c))

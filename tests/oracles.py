@@ -1,14 +1,14 @@
 """Independent oracles used by the tests.
 
 Deliberately built on different machinery than the library paths they check:
-dense numpy linear algebra for stationary vectors, direct Monte Carlo for
-hitting probabilities, Cardano's formula for the three-server decay rate,
-exact rational arithmetic for the decay rate at heavy traffic and for the
-boundary law, scan+bisection for real polynomial roots, and for the
-continuous queue a truncated birth-death chain plus Little's law and a
-per-server scan for FIFO service starts. The `geo` stream's reference walks
-each slot's cumulative increment law in plain Python, without the
-simulator's decode table.
+dense numpy linear algebra for stationary vectors, direct Monte Carlo and
+closed forms in omega for hitting probabilities, Cardano's formula for the
+three-server decay rate, exact rational arithmetic for the decay rate at
+heavy traffic and for the boundary law, scan+bisection for real polynomial
+roots, and for the continuous queue a truncated birth-death chain plus
+Little's law and a per-server scan for FIFO service starts. The `geo`
+stream's reference walks each slot's cumulative increment law in plain
+Python, without the simulator's decode table.
 """
 from __future__ import annotations
 
@@ -269,23 +269,29 @@ def geo_max_by_recursion(p: float, r: float, c: int, n: int, gen: np.random.Gene
     return peak, sums
 
 
-def nu_minus1_by_ladder_heights(params: GeoParams, omega: float) -> float:
-    """Descent probability nu_{-1} of the fully-busy walk from its ladder heights.
+def nu_by_closed_forms(params: GeoParams, omega: float):
+    """Hitting probabilities of the fully-busy walk in closed form from omega.
 
-    P(z) = z^c (1 - A(z)), with A the increment generating function, vanishes
-    at z = 1/omega, so it divides by (1 - omega z) into b_0..b_c. Then
-    h_j = [j = 0] - b_{c-j}, j = 0..c, is the law of the weak descending
-    ladder height -j, and h_j / (1 - h_0), j >= 1, that of the first strict
-    descent. A walk started one level up reaches the level when that descent
-    lands on it (j = 1), or j - 1 below it and the walk climbs back j - 1
-    levels, with probability omega^(j-1):
-    nu_{-1} = sum_{j >= 1} h_j omega^(j-1) / (1 - h_0). No root finding, no solve.
+    The walk moves up by at most one level per step (ladder heights; Feller
+    vol. II, ch. XII). With alpha its increment law and
+    [m] = 1 + omega + ... + omega^(m-1):
+        nu_up_i = omega^i,
+        nu_{-1} = sum_m m alpha_{-m} omega^(m-1) / sum_m alpha_{-m} [m],
+        1 - nu_{-1} = sum_m alpha_{-m} sum_{i<m} omega^i (1 - omega) [m-1-i]
+                      / sum_m alpha_{-m} [m],
+        1 - nu0 = alpha_1 (1 - nu_{-1}) + (1 - omega) sum_m alpha_{-m} [m].
+    Every term is a product of probabilities and powers of omega, so nothing
+    cancels, and 1 - nu0 never comes from a rounded nu0. No root finding, no
+    solve. Returns (1 - nu0, nu_minus1, nu_up).
     """
     c = params.c
-    coeffs = -increment_distribution(params)[c]
-    coeffs[c] += 1.0
-    quotient = []
-    for coeff in coeffs[:c + 1]:
-        quotient.append(coeff + omega * (quotient[-1] if quotient else 0.0))
-    heights = [(1.0 if j == 0 else 0.0) - quotient[c - j] for j in range(c + 1)]
-    return sum(heights[j] * omega ** (j - 1) for j in range(1, c + 1)) / (1.0 - heights[0])
+    alpha = dict(enumerate(increment_distribution(params)[c].tolist(), -c))
+
+    def span(m):  # [m]
+        return sum(omega**i for i in range(m))
+
+    down = sum(alpha[-m] * span(m) for m in range(1, c + 1))
+    nu_minus1 = sum(m * alpha[-m] * omega ** (m - 1) for m in range(1, c + 1)) / down
+    miss = sum(alpha[-m] * sum(omega**i * (1.0 - omega) * span(m - 1 - i) for i in range(m))
+               for m in range(1, c + 1)) / down
+    return alpha[1] * miss + (1.0 - omega) * down, nu_minus1, tuple(omega**i for i in range(1, c))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -47,6 +48,52 @@ class TestParsing:
             parse_number("abc")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_number("1/0")
+
+
+MODEL_FLAGS = {"geo": ["--p", "1/3", "--r", "1/6"], "mm": ["--lambda", "1/3", "--mu", "1/2"]}
+
+
+class TestTargetParsers:
+    """One parser per (command, target), holding only that target's model flags."""
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    @pytest.mark.parametrize("target", ["geo", "mm"])
+    def test_help_lists_only_the_target_flags(self, command, target, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, target, "-h"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        sim = [] if command == "analyze" else ["--reps", "--seed"]
+        own = ["--help", *MODEL_FLAGS[target][::2], "--c", "--n", "--out", "--format", *sim]
+        assert set(re.findall(r"--\w+", out)) == set(own)
+        assert ("time steps" if target == "geo" else "interval length") in out
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    @pytest.mark.parametrize("target,foreign", [("geo", ["--lambda", "5"]),
+                                                ("mm", ["--p", "0.3"])])
+    def test_foreign_model_flag_is_a_usage_error(self, command, target, foreign, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([command, target, *MODEL_FLAGS[target], *foreign, "--out", str(out)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(foreign)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_options_before_the_target_do_not_parse(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", *MODEL_FLAGS["geo"], "geo"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("target,keys", [("geo", {"p", "r", "c", "n"}),
+                                             ("mm", {"lam", "mu", "c", "n"})])
+    def test_manifest_records_only_the_target_parameters(self, command, target, keys,
+                                                         tmp_path, capsys):
+        reps = [] if command == "analyze" else ["--reps", "3"]
+        assert main([command, target, *MODEL_FLAGS[target], "--c", "3", "--n", "100", *reps,
+                     "--out", str(tmp_path)]) == 0
+        assert set(read_json(tmp_path / "manifest.json")["parameters"]) == keys
 
 
 class TestAnalyze:
@@ -96,9 +143,12 @@ class TestAnalyze:
         assert err.count("\n") == 1  # one-line diagnostic
 
     def test_missing_parameter_exit_2(self, capsys):
-        code = main(["analyze", "geo", "--p", "0.3"])
-        assert code == 2
-        assert "--r" in capsys.readouterr().err
+        # a usage error: argparse exits 2 and names the flag
+        for argv, flag in ((["geo", "--p", "0.3"], "--r"), (["mm", "--mu", "2"], "--lambda")):
+            with pytest.raises(SystemExit) as info:
+                main(["analyze", *argv])
+            assert info.value.code == 2
+            assert f"required: {flag}" in capsys.readouterr().err
 
     def test_geo_horizon_must_be_integer(self, capsys):
         code = main(["analyze", "geo", "--p", "0.3", "--r", "0.2", "--c", "3",
@@ -456,6 +506,17 @@ class TestExitCodes:
         assert code == 0
         header, rows = read_csv(tmp_path / "samples.csv")
         assert [float(row[header.index("max_que")]) for row in rows] == [0.0] * 3
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_mm_servers_past_the_float_range_is_two(self, command, tmp_path, capsys):
+        reps = [] if command == "analyze" else ["--reps", "3"]
+        code = main([command, "mm", "--lambda", "1", "--mu", "1", "--c", str(10**400),
+                     "--n", "20", *reps, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: server count of 1329 bits overflows a float")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
     def test_io_failure_is_four(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

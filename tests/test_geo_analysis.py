@@ -15,7 +15,7 @@ from queuemax import (BracketError, ConvergenceError, DegenerateRootsError,
                       stationary_distribution, validate_geo_params)
 from queuemax.geo_analysis import _stationary_from_omega
 from oracles import (decay_rate_omega_closed_form, mc_hitting_probability,
-                     nu_minus1_by_ladder_heights, omega_by_exact_bisection,
+                     nu_by_closed_forms, omega_by_exact_bisection,
                      stationary_by_exact_column_balance, truncated_stationary_vector,
                      truncated_transition_matrix)
 
@@ -115,6 +115,10 @@ class TestStationaryDistribution:
             boundary, pi_c = stationary_distribution(params)
             total = sum(boundary) + pi_c / (1.0 - omega)
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_negative_state_rejected(self):
+        with pytest.raises(RangeError, match="nonnegative"):
+            analyze_geo(REFERENCE).pi(-1)
 
     def test_reference_matches_truncated_chain_oracle(self):
         oracle = truncated_stationary_vector(REFERENCE, size=401)
@@ -231,16 +235,33 @@ class TestHittingProbabilities:
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_descent_and_return_match_ladder_heights(self, c):
         heavy = [(load * c * r, r) for load in (0.999, 0.9999) for r in (0.1, 0.25, 0.3)]
-        for p, r in sampled_region(c) + heavy:
+        # at c = 3, load 1 - 1e-16: omega is a few ulps below 1
+        edge = [(0.9, 0.30000000000000004)] if c == 3 else []
+        for p, r in sampled_region(c) + heavy + edge:
             params = validate_geo_params(p, r, c)
             omega = decay_rate_omega(params)
             nu = hitting_probabilities(params)
-            assert abs(nu.nu_minus1 - nu_minus1_by_ladder_heights(params, omega)) < 1e-9
-            # first step: stay, step up and descend back, or step down m and climb back
-            alpha = dict(enumerate(increment_distribution(params)[c].tolist(), -c))
-            nu0 = alpha[0] + alpha[1] * nu.nu_minus1 + sum(
-                alpha[-m] * omega**m for m in range(1, c + 1))
-            assert abs(nu.nu0 - nu0) < 1e-9
+            return_gap, nu_minus1, nu_up = nu_by_closed_forms(params, omega)
+            assert nu.nu_minus1 == pytest.approx(nu_minus1, rel=1e-14, abs=0.0)
+            assert nu.nu_up == pytest.approx(nu_up, rel=1e-9, abs=0.0)
+            if 1.0 - omega >= 1e-12:  # nearer 1, both sides of 1 - nu0 quantize
+                assert 1.0 - nu.nu0 == pytest.approx(return_gap, rel=1e-10, abs=0.0)
+
+    # the xfail points below and two light-traffic points where the solve's nu
+    # leaves (0, 1]; at c = 1, 1 - nu0 = q r (1 - omega) exactly
+    @pytest.mark.parametrize("p,r,c", [(1e-300, 0.5, 1), (1e-9, 1e-9, 2), (1.5e-9, 1e-9, 3),
+                                       (5e-13, 1e-12, 1), (9.9999999e-9, 1e-8, 1),
+                                       (1e-16, 0.5, 2), (1e-13, 0.5, 3)])
+    def test_closed_forms_stay_in_range_where_the_solve_fails(self, p, r, c):
+        params = validate_geo_params(p, r, c)
+        omega = decay_rate_omega(params)
+        return_gap, nu_minus1, nu_up = nu_by_closed_forms(params, omega)
+        assert all(0.0 < nu <= 1.0 for nu in (1.0 - return_gap, nu_minus1, *nu_up))
+        assert return_gap > 0.0
+        if c == 1:
+            assert nu_minus1 == 1.0
+            assert return_gap == pytest.approx(params.q * params.r * (1.0 - omega),
+                                               rel=1e-15, abs=0.0)
 
     def test_monte_carlo_descent_oracle(self):
         nu = hitting_probabilities(REFERENCE)

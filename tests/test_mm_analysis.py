@@ -34,6 +34,12 @@ class TestValidation:
         with pytest.raises(UnsupportedError):
             MMParams(0.1, 0.5, c)
 
+    def test_servers_past_the_float_range_rejected(self):
+        # the stability check lam >= c*mu would convert c to a float and overflow
+        for make in (validate_mm_params, MMParams):
+            with pytest.raises(UnsupportedError, match="1329 bits overflows a float"):
+                make(1.0, 1.0, 10**400)
+
     def test_load_ratios(self):
         assert SINGLE.rho_single == pytest.approx(2 / 3, abs=1e-15)
         assert THREE.utilization == pytest.approx(2 / 3, abs=1e-12)
@@ -67,6 +73,11 @@ class TestExpectedMaxWait:
                        - expected_max_wait_mm1(params, "queue", 500.0))
                 assert gap == pytest.approx(log(1.0 / params.rho_single) / (mu - lam), rel=1e-10)
         assert [str(w.message).split()[5] for w in caught] == ["A*n=0.411239", "A*n=0.390372"]
+
+    @pytest.mark.parametrize("n", [0.0, -1.0])
+    def test_non_positive_horizon_rejected(self, n):
+        with pytest.raises(RangeError, match="horizon must be positive"):
+            expected_max_wait_mm1(SINGLE, "system", n)
 
     def test_multi_server_unsupported(self):
         with pytest.raises(UnsupportedError):

@@ -39,7 +39,8 @@ class TestValidation:
         with pytest.raises(RangeError):
             validate_geo_params(p, r, 3)
 
-    @pytest.mark.parametrize("c", [0, 4, -1, 2.5, float("nan"), float("inf"), "2"])
+    @pytest.mark.parametrize("c", [0, 4, -1, 2.5, float("nan"), float("inf"), "2",
+                                   pytest.param(10**400, id="10**400")])
     def test_unsupported_server_count(self, c):
         with pytest.raises(UnsupportedError):
             validate_geo_params(0.1, 0.5, c)

@@ -86,6 +86,11 @@ def test_stand_in_answers_only_pcg64s_request(request_):
                                   np.random.SeedSequence(7).generate_state(4, np.uint64))
 
 
+def test_substream_seed_refuses_a_negative_index():
+    with pytest.raises(ValueError, match="replication index must be nonnegative"):
+        substream_seed(7, -1)
+
+
 @pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**65 - 5])
 def test_configs_refuse_seeds_outside_64_bits(seed):
     with pytest.raises(RangeError, match="master seed"):

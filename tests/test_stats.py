@@ -35,6 +35,15 @@ class TestECDF:
         with pytest.raises(RangeError):
             ECDF(np.array([1.0, 1.0]), np.array([0.5, 1.0]))
 
+    @pytest.mark.parametrize("values,probabilities,message", [
+        ([1.0, 2.0], [1.0], "congruent"),
+        ([[1.0, 2.0]], [[0.5, 1.0]], "congruent"),
+        ([1.0, 2.0], [0.25, 0.5], "increase strictly to 1"),
+    ])
+    def test_rejects_malformed_arrays(self, values, probabilities, message):
+        with pytest.raises(RangeError, match=message):
+            ECDF(np.array(values), np.array(probabilities))
+
 
 class TestGumbelFit:
     def test_standard_moments_recovered_exactly(self):
@@ -84,6 +93,16 @@ class TestGumbelFit:
             gumbel_fit_two_moment([1.0])
         with pytest.raises(DegenerateSampleError):
             gumbel_fit_two_moment([2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_non_positive_scale_rejected(self, scale):
+        with pytest.raises(RangeError, match="scale must be positive"):
+            GumbelParams(0.0, scale)
+
+    @pytest.mark.parametrize("u", [0.0, 1.0, -0.5, 1.5])
+    def test_quantile_level_outside_unit_interval_rejected(self, u):
+        with pytest.raises(RangeError, match="quantile level"):
+            GumbelParams(2.0, 1.5).quantile(u)
 
     def test_quantile_inverts_cdf(self):
         fit = GumbelParams(2.0, 1.5)
