@@ -7,10 +7,11 @@ target, and each target takes only its own model flags:
     simulate  replicated maxima with samples, summary and manifest files
     compare   analytic predictions against a fresh simulation, side by side
 
-File outputs land in --out as summary.json, samples.csv, cdf.csv and
-manifest.json; every file is written to a temp name and renamed, so partially
-written outputs never appear under their final names. Runs are reproducible:
-the manifest records the exact parameters, PRNG algorithm and master seed.
+--out alone decides what is written. Without it a command prints its
+summary.json to stdout and writes nothing. With it, each file the command has
+(summary.json, samples.csv, cdf.csv, manifest.json) goes there via a temp name
+and a rename, so no partial file appears under a final name. The manifest
+records the exact parameters, PRNG algorithm and master seed.
 """
 from __future__ import annotations
 
@@ -99,13 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
                 sub.add_argument(flag, dest=dest, type=parse_number, required=True, help=text)
             sub.add_argument("--c", type=int, default=1, help="number of servers")
             sub.add_argument("--n", type=parse_number, default=10000, help=f"horizon: {horizon}")
-            sub.add_argument("--out", type=Path, default=None,
-                             help="output directory (analyze prints to stdout when omitted)")
-            sub.add_argument("--format", choices=("json", "csv", "both"), default="both")
+            sub.add_argument("--out", type=Path, help="directory for every report file "
+                                                      "(else summary.json goes to stdout)")
             if needs_sim:
                 sub.add_argument("--reps", type=int, default=1000)
                 sub.add_argument("--seed", type=parse_seed, default=DEFAULT_MASTER_SEED,
                                  help="master seed (integer), or 'random' for entropy")
+            sub.set_defaults(parser=sub)  # run hands it the arguments it did not recognize
     return parser
 
 
@@ -385,21 +386,20 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_outputs(out_dir: Path, fmt: str, report, manifest,
-                   samples=None, cdf=None) -> list[str]:
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _write_outputs(out_dir: Path, report, manifest, samples, cdf) -> list[str]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if fmt in ("json", "both"):
-        _atomic_write(out_dir / "summary.json", json.dumps(report, indent=2) + "\n")
-        written.append("summary.json")
-    if fmt in ("csv", "both"):
-        for name, pack in (("samples.csv", samples), ("cdf.csv", cdf)):
-            if pack is not None:
-                _atomic_write(out_dir / name, _csv_text(*pack))
-                written.append(name)
-    manifest = dict(manifest, outputs=written + ["manifest.json"])
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(out_dir / "summary.json", _json_text(report))
+    written = ["summary.json"]
+    for name, pack in (("samples.csv", samples), ("cdf.csv", cdf)):
+        if pack is not None:
+            _atomic_write(out_dir / name, _csv_text(*pack))
+            written.append(name)
     written.append("manifest.json")
+    _atomic_write(out_dir / "manifest.json", _json_text(dict(manifest, outputs=written)))
     return written
 
 
@@ -422,28 +422,25 @@ def _manifest(args, argv, seed, duration) -> dict:
 # ---------------------------------------------------------------- entry points
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported with the usage line of the (command, target) that was reached
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     started = time.perf_counter()
 
     seed = getattr(args, "seed", None)
     params, n = _inputs(args)
     report, samples_pack, cdf_pack = _BUILDERS[args.command, args.target](
         params, n, getattr(args, "reps", None), seed)
-
-    duration = time.perf_counter() - started
-    manifest = _manifest(args, list(argv), seed, duration)
-
-    if args.out is None and args.command == "analyze":
-        print(json.dumps(report, indent=2))
+    if args.out is None:
+        sys.stdout.write(_json_text(report))
         return EXIT_OK
-    out_dir = args.out if args.out is not None else Path("queuemax_out")
-    written = _write_outputs(out_dir, args.format, report, manifest,
-                             samples=samples_pack, cdf=cdf_pack)
+
+    manifest = _manifest(args, list(argv), seed, time.perf_counter() - started)
+    written = _write_outputs(args.out, report, manifest, samples_pack, cdf_pack)
     for key, value in report.items():  # the headline: every scalar of the report
         if not isinstance(value, (dict, list)):
             print(f"{key}: {value}")
-    print(f"wrote {', '.join(written)} to {out_dir}")
+    print(f"wrote {', '.join(written)} to {args.out}")
     return EXIT_OK
 
 

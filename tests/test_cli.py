@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -22,7 +23,7 @@ import queuemax
 from queuemax import (ECDF, HeuristicRangeWarning, MaxLengthLaw, RangeError, StabilityError,
                       summarize, validate_mm_params)
 from queuemax.cli import (CDF_POINTS, CDF_PROB_FLOOR, _atomic_write, _geo_cdf_table,
-                          console_main, main, parse_number)
+                          build_parser, console_main, main, parse_number)
 
 
 def read_json(path):
@@ -53,6 +54,14 @@ class TestParsing:
 MODEL_FLAGS = {"geo": ["--p", "1/3", "--r", "1/6"], "mm": ["--lambda", "1/3", "--mu", "1/2"]}
 
 
+def readme_commands():
+    """Every `queuemax ...` line of README.md's sh blocks, continuations joined, split."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("queuemax ")]
+
+
 class TestTargetParsers:
     """One parser per (command, target), holding only that target's model flags."""
 
@@ -64,7 +73,7 @@ class TestTargetParsers:
         assert info.value.code == 0
         out = capsys.readouterr().out
         sim = [] if command == "analyze" else ["--reps", "--seed"]
-        own = ["--help", *MODEL_FLAGS[target][::2], "--c", "--n", "--out", "--format", *sim]
+        own = ["--help", *MODEL_FLAGS[target][::2], "--c", "--n", "--out", *sim]
         assert set(re.findall(r"--\w+", out)) == set(own)
         assert ("time steps" if target == "geo" else "interval length") in out
 
@@ -77,8 +86,41 @@ class TestTargetParsers:
         with pytest.raises(SystemExit) as info:
             main([command, target, *MODEL_FLAGS[target], *foreign, "--out", str(out)])
         assert info.value.code == 2
-        assert f"unrecognized arguments: {' '.join(foreign)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"usage: queuemax {command} {target} " in err
+        assert (f"queuemax {command} {target}: error: unrecognized arguments: "
+                f"{' '.join(foreign)}") in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    @pytest.mark.parametrize("target", ["geo", "mm"])
+    def test_out_alone_decides_what_is_written(self, command, target, tmp_path,
+                                               monkeypatch, capsys):
+        # without --out: summary.json on stdout and nothing on disk; with it: the files
+        cwd, out = tmp_path / "cwd", tmp_path / "out"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        reps = [] if command == "analyze" else ["--reps", "4", "--seed", "3"]
+        argv = [command, target, *MODEL_FLAGS[target], "--c", "3", "--n", "100", *reps]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (out / "summary.json").read_bytes() == printed.encode()
+        files = read_json(out / "manifest.json")["outputs"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(files)
+        assert capsys.readouterr().out.endswith(f"wrote {', '.join(files)} to {out}\n")
+        assert not any(cwd.iterdir())
+
+    def test_readme_commands_parse(self):
+        # parsing only: a flag the parsers no longer take cannot stay in the README
+        commands = readme_commands()
+        assert {argv[1] for argv in commands} == {"analyze", "simulate", "compare"}
+        for argv in commands:
+            try:
+                _, unknown = build_parser().parse_known_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+            assert unknown == [], shlex.join(argv)
 
     def test_options_before_the_target_do_not_parse(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -362,13 +404,14 @@ class TestSimulate:
         # two entropy-seeded runs almost surely differ
         assert (out_a / "samples.csv").read_bytes() != (out_b / "samples.csv").read_bytes()
 
-    def test_format_json_only(self, tmp_path, capsys):
+    def test_format_option_is_gone(self, tmp_path, capsys):
         out = tmp_path / "jsononly"
-        assert main(["simulate", "geo", "--p", "0.2", "--r", "0.3", "--c", "1",
-                     "--n", "100", "--reps", "10", "--format", "json",
-                     "--out", str(out)]) == 0
-        names = sorted(p.name for p in out.iterdir())
-        assert names == ["manifest.json", "summary.json"]
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "geo", "--p", "0.2", "--r", "0.3", "--c", "1",
+                  "--n", "100", "--reps", "10", "--format", "json", "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as info:
