@@ -32,11 +32,16 @@ chunks leave every sample unchanged: a run is fixed by its seeds alone.
 - `_run_single` steps one trajectory L slots per Python iteration, in draws
   of 4,096 slots: draws of 32,768 took 5*10^4 slots at c = 3 from 6.2 to
   5.7 ms but the traced peak memory from 0.28 to 1.1 MB (2-vCPU Xeon).
-- `_run_many` vectorizes the replications of `replicate_max_length`. At c = 1
-  it needs no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t,
-  a_t) (Lindley 1952), so with S = cumsum(inc[1]) over a block,
+- `_run_many` vectorizes the replications of `replicate_max_length`.
+  `_gather_maxima` moves every replication L slots per step, with two
+  gathers. A narrow c = 1 chunk (fewer than 2 * DRAW_CHUNK generators) needs
+  no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t, a_t)
+  (Lindley 1952), so with S = cumsum(inc[1]) over a block,
   u = S + max(u_0, maximum.accumulate(a - S)); u is carried across blocks.
-  At c >= 2 it moves every replication L slots per step, with two gathers.
+  Its ten or so elementwise passes per slot-replication lose to the gather
+  from about 128 replications on, where the gather's per-step numpy calls are
+  spread over enough of them: gather / Lindley read 3.01 at 16 reps, 0.93 at
+  128 and 0.68 at 2048 (2500 slots, p = 1/3, r = 1/2; 2-vCPU Xeon).
 
 All paths give identical maxima for a seed; `tests/test_geo_stream.py` pins
 them to recorded samples and to a plain per-slot reference.
@@ -156,12 +161,13 @@ def _run_single(params: GeoParams, gen: np.random.Generator, edges):
 
 def _run_many(params: GeoParams, n: int, gens) -> np.ndarray:
     """Maxima of len(gens) independent trajectories, vectorized over replications."""
-    kernel = _lindley_maxima if params.c == 1 else _gather_maxima
+    narrow = params.c == 1 and len(gens) < 2 * DRAW_CHUNK
+    kernel = _lindley_maxima if narrow else _gather_maxima
     return kernel(params, n, gens)
 
 
 def _lindley_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
-    """c = 1: each block in closed form, u = S + max(u_0, maximum.accumulate(a - S))."""
+    """Narrow c = 1 chunks, each block as u = S + max(u_0, maximum.accumulate(a - S))."""
     cuts, table = _decode_table(params)
     arrival, step = table[:, 0].copy(), table[:, 1].copy()
     count = len(gens)
@@ -232,7 +238,7 @@ def _group_indices(buckets, group: int, radix: int, span: int, out):
 
 
 def _gather_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
-    """c >= 2: L slots per step, u += delta[g*S + min(u, cL)], from `_walk_tables`."""
+    """L slots per step, u += delta[g*S + min(u, cL)], from `_walk_tables`."""
     c = params.c
     cuts, table = _decode_table(params)
     walks = [walk[:2].astype(np.intp) for walk in _walk_tables(c, table)]  # delta, top

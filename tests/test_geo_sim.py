@@ -78,6 +78,27 @@ class TestDeterminism:
                 assert scalar == reference_samples[49]
 
 
+class TestKernelChoice:
+    """Both kernels give identical maxima, so only a spy can see which one ran."""
+
+    @pytest.mark.parametrize("params,reps,kernel", [
+        (FAST_SINGLE, 2 * geo_sim.DRAW_CHUNK - 1, "_lindley_maxima"),
+        (FAST_SINGLE, 2 * geo_sim.DRAW_CHUNK, "_gather_maxima"),
+        (REFERENCE, 1, "_gather_maxima"),
+        (REFERENCE, 2 * geo_sim.DRAW_CHUNK - 1, "_gather_maxima"),
+        (REFERENCE, 2 * geo_sim.DRAW_CHUNK, "_gather_maxima")])
+    def test_run_many_picks_kernel_by_width(self, monkeypatch, params, reps, kernel):
+        calls = []
+        for name in ("_lindley_maxima", "_gather_maxima"):
+            def spy(*args, _name=name, _real=getattr(geo_sim, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(geo_sim, name, spy)
+        gens = [substream_generator(7, i) for i in range(reps)]
+        geo_sim._run_many(params, 100, gens)
+        assert calls == [kernel]
+
+
 class TestStateCap:
     """The tripwire raises a typed error, so it holds under `python -O` too."""
 

@@ -143,8 +143,11 @@ def test_scalar_maxima_over_short_horizons(c):
 @settings(max_examples=40, deadline=None)
 @given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
        n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000]),
-       reps=st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
+       reps=st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
+                             2 * CHUNK + 1]),
        master=st.integers(0, 2**63 - 1))
+@example(p=1 / 3, r=1 / 2, c=1, n=BLOCK + 1, reps=2 * CHUNK - 1, master=3)  # widest Lindley chunk
+@example(p=1 / 3, r=1 / 2, c=1, n=BLOCK + 1, reps=2 * CHUNK, master=3)  # narrowest c = 1 gather
 def test_vector_kernel_matches_exact_recursion(p, r, c, n, reps, master):
     assume(p < c * r)
     params = validate_geo_params(p, r, c)
