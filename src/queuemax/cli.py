@@ -22,8 +22,8 @@ import secrets
 import sys
 import time
 from fractions import Fraction
-from functools import cache, partial
-from math import ceil, inf, log, nan
+from functools import cache
+from math import ceil, inf, log
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +128,7 @@ def _inputs(args):
 # One builder per (command, target): builder(params, n, reps, seed) returns
 # (report, samples pack, cdf pack), a pack being (header, rows) or None.
 # compare reuses simulate's replications and report header and analyze's
-# analytic helpers.
+# analytic helpers. Every cdf pack comes from _cdf_pack.
 
 def _prng(target) -> dict:
     return {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION, **TARGETS[target][2]}
@@ -139,8 +139,10 @@ def _sim_report(target, params, n, reps, seed) -> dict:
             "prng": _prng(target)}
 
 
-def _ecdf_pack(ecdf):
-    return ["value", "empirical"], list(zip(ecdf.values.tolist(), ecdf.probabilities.tolist()))
+def _cdf_pack(axis, grid, columns):
+    """cdf.csv as (header, rows): the grid, then each named CDF, called once on the grid."""
+    cells = [grid.tolist()] + [cdf(grid).tolist() for cdf in columns.values()]
+    return [axis, *columns], list(zip(*cells))
 
 
 def _gumbel_fit(samples):
@@ -157,8 +159,8 @@ def _geo_law(params, n):
     return analysis, max_length_law(analysis, n)
 
 
-def _geo_cdf_table(law, empirical=None):
-    """Rows (k, predicted[, empirical]) across the informative probability range.
+def _geo_cdf_table(law):
+    """The levels k of a geo cdf.csv, across the informative probability range.
 
     The range runs from the first k >= servers whose predicted CDF
     law.cdf(k) reaches CDF_PROB_FLOOR to the first whose CDF reaches
@@ -178,11 +180,7 @@ def _geo_cdf_table(law, empirical=None):
     low = first_reaching(CDF_PROB_FLOOR, law.servers)
     high = first_reaching(1.0 - CDF_PROB_FLOOR, low)
     stride = max(1, -(-(high - low) // (CDF_POINTS - 1)))  # integer ceiling
-    ks = [*range(low, high, stride), high]
-    predicted = [law.cdf(k) for k in ks]
-    if empirical is None:
-        return list(zip(ks, predicted))
-    return list(zip(ks, predicted, empirical.evaluate(np.asarray(ks)).tolist()))
+    return np.array([*range(low, high, stride), high])
 
 
 def _analyze_geo(params, n, *_):
@@ -211,7 +209,7 @@ def _analyze_geo(params, n, *_):
         },
         "mean_queue_length": analysis.mean_queue_length,
     }
-    return report, None, (["k", "predicted"], _geo_cdf_table(law))
+    return report, None, _cdf_pack("k", _geo_cdf_table(law), {"predicted": law.cdf})
 
 
 def _geo_replicate(params, n, reps, seed):
@@ -230,7 +228,8 @@ def _simulate_geo(params, n, reps, seed):
         "min": int(result.samples.min()),
         "max": int(result.samples.max()),
     }
-    return report, samples, _ecdf_pack(result.ecdf)
+    ecdf = result.ecdf
+    return report, samples, _cdf_pack("value", ecdf.values, {"empirical": ecdf.evaluate})
 
 
 def _compare_geo(params, n, reps, seed):
@@ -251,8 +250,8 @@ def _compare_geo(params, n, reps, seed):
         "gumbel_fit": _fit_report(_gumbel_fit(result.samples)),
     }
     report["ks_distance"] = ks_distance(result.ecdf, law.cdf, lattice=True)
-    cdf_rows = _geo_cdf_table(law, empirical=result.ecdf)
-    return report, samples, (["k", "predicted", "empirical"], cdf_rows)
+    columns = {"predicted": law.cdf, "empirical": result.ecdf.evaluate}
+    return report, samples, _cdf_pack("k", _geo_cdf_table(law), columns)
 
 
 MM_KINDS = (("sys", "system"), ("que", "queue"))
@@ -269,7 +268,8 @@ def _mm1_expected_maxima(params, n) -> dict:
 
 def _mm1_cdfs(params, n) -> dict:
     """The single-server maximum-wait laws over [0, n], keyed by sys and que."""
-    return {label: partial(max_wait_cdf_mm1, params, kind, n) for label, kind in MM_KINDS}
+    return {label: lambda y, kind=kind: max_wait_cdf_mm1(params, kind, n, y)
+            for label, kind in MM_KINDS}
 
 
 def _analyze_mm(params, n, *_):
@@ -296,8 +296,8 @@ def _analyze_mm(params, n, *_):
     if exceedances > 0.0:
         y_hi = (np.log(exceedances) - np.log(-np.log(1.0 - 1e-6))) / (params.mu - params.lam)
     grid = np.linspace(0.0, max(y_hi, 1.0), CDF_POINTS)
-    columns = [grid.tolist()] + [cdf(grid).tolist() for cdf in _mm1_cdfs(params, n).values()]
-    return report, None, (["y", "predicted_sys", "predicted_que"], list(zip(*columns)))
+    columns = {f"predicted_{label}": cdf for label, cdf in _mm1_cdfs(params, n).items()}
+    return report, None, _cdf_pack("y", grid, columns)
 
 
 def _mm_replicate(params, n, reps, seed):
@@ -321,7 +321,8 @@ def _simulate_mm(params, n, reps, seed):
         "mean_que": {"pooled": result.pooled_mean_que, "per_rep_mean": result.mean_que.mean},
         "customers": int(result.customers.sum()),
     })
-    return report, samples, _ecdf_pack(result.max_sys.ecdf)
+    ecdf = result.max_sys.ecdf
+    return report, samples, _cdf_pack("value", ecdf.values, {"empirical": ecdf.evaluate})
 
 
 def _compare_mm(params, n, reps, seed):
@@ -338,25 +339,19 @@ def _compare_mm(params, n, reps, seed):
         "gumbel_fit_que": _fit_report(fits["que"]),
     }
     report["mean_wait_analytic"] = _mm_mean_waits(params)
-    # the reference law: the analytic one for c = 1, else the Gumbel fit, if any
-    single = params.c == 1
-    report["analytic"] = _mm1_expected_maxima(params, n) if single else None
-    report["ks_reference"] = "analytic" if single else "gumbel_fit"
-    predict = _mm1_cdfs(params, n) if single else {
-        label: fit.cdf if fit else None for label, fit in fits.items()}
+    # analytic laws exist for c = 1 only; at c >= 2 the fits above are the whole model side
+    laws = _mm1_cdfs(params, n) if params.c == 1 else {}
+    report["analytic"] = _mm1_expected_maxima(params, n) if laws else None
+    columns = {}
     for label, sim in maxima.items():
-        report[f"ks_distance_{label}"] = (
-            ks_distance(sim.ecdf, predict[label]) if predict[label] else None)
+        if laws:
+            report[f"ks_distance_{label}"] = ks_distance(sim.ecdf, laws[label])
+            columns[f"predicted_{label}"] = laws[label]
+        columns[f"empirical_{label}"] = sim.ecdf.evaluate
 
     hi = float(max(result.max_sys.samples.max(), result.max_que.samples.max())) * 1.05
     grid = np.linspace(0.0, max(hi, 1.0), CDF_POINTS)
-    columns = [grid.tolist()]
-    for label, sim in maxima.items():
-        cdf = predict[label]
-        columns.append(cdf(grid).tolist() if cdf else [nan] * grid.size)
-        columns.append(sim.ecdf.evaluate(grid).tolist())
-    header = ["y", "predicted_sys", "empirical_sys", "predicted_que", "empirical_que"]
-    return report, samples, (header, list(zip(*columns)))
+    return report, samples, _cdf_pack("y", grid, columns)
 
 
 _BUILDERS = {

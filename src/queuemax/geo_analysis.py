@@ -254,14 +254,18 @@ class MaxLengthLaw:
     def intercept(self) -> float:
         return (EULER_GAMMA + log(self.beta)) / log(1.0 / self.omega) + 0.5
 
-    def cdf(self, k: int) -> float:
-        """P{M_n <= k}. Warns (but still evaluates) below the boundary level."""
-        if k < self.servers:
+    def cdf(self, k):
+        """P{M_n <= k}: a float for an int k, an array for an int array, each level in Python
+        floats so the two agree bit for bit. Warns once (but still evaluates) below the boundary."""
+        array = isinstance(k, np.ndarray)
+        levels = k.ravel().tolist() if array else [k]
+        if levels and min(levels) < self.servers:
             warnings.warn(
-                f"maximum-law CDF evaluated at k={k} below the {self.servers}-server "
+                f"maximum-law CDF evaluated at k={min(levels)} below the {self.servers}-server "
                 "boundary; the asymptotic approximation is unreliable there",
                 HeuristicRangeWarning, stacklevel=2)
-        return exp(-self.beta * self.n * self.omega**k)
+        values = [exp(-self.beta * self.n * self.omega**level) for level in levels]
+        return np.array(values).reshape(k.shape) if array else values[0]
 
     def mean(self) -> float:
         """Warns (but still evaluates) below one expected clump, where it can be negative."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import exp, inf, isfinite, log
+from math import inf, isfinite, log
 from typing import Literal
 
 import numpy as np

@@ -8,7 +8,7 @@ data invalidate the standard tables).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, pi, sqrt
+from math import log, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -100,11 +100,12 @@ def gumbel_fit_two_moment(samples) -> GumbelParams:
     return GumbelParams(location, scale)
 
 
-def ks_distance(ecdf: ECDF, cdf: Callable[[float], float], lattice: bool = False) -> float:
+def ks_distance(ecdf: ECDF, cdf: Callable[[np.ndarray], np.ndarray], lattice: bool = False) -> float:
     """Sup-norm distance between an empirical CDF and a reference CDF.
 
-    For continuous references the distance is evaluated at the jump points
-    with both one-sided gaps. With lattice=True the comparison runs over the
+    The reference maps an array of points to an array of CDF values; it is
+    called once. Continuous references are compared at the jump points with
+    both one-sided gaps. With lattice=True the comparison runs over the
     integer lattice spanning the support instead, which is the correct
     sup-norm when the reference is itself the CDF of an integer-valued law.
     The caller states which: an integer-valued sample of a continuous law
@@ -113,9 +114,8 @@ def ks_distance(ecdf: ECDF, cdf: Callable[[float], float], lattice: bool = False
     values = ecdf.values
     if lattice:
         grid = np.arange(int(np.floor(values[0])) - 1, int(np.floor(values[-1])) + 1)
-        ref = np.asarray([float(cdf(k)) for k in grid])
-        return float(np.max(np.abs(ecdf.evaluate(grid) - ref)))
-    ref = np.asarray([float(cdf(v)) for v in values])
+        return float(np.max(np.abs(ecdf.evaluate(grid) - cdf(grid))))
+    ref = cdf(values)
     upper = ecdf.probabilities - ref
     lower = ref - np.concatenate(([0.0], ecdf.probabilities[:-1]))
     return float(max(np.max(upper), np.max(lower)))

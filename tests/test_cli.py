@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import queuemax
 from queuemax import (ECDF, HeuristicRangeWarning, MaxLengthLaw, RangeError, StabilityError,
                       summarize, validate_mm_params)
-from queuemax.cli import (CDF_POINTS, CDF_PROB_FLOOR, _atomic_write, _geo_cdf_table,
+from queuemax.cli import (CDF_POINTS, CDF_PROB_FLOOR, _atomic_write, _cdf_pack, _geo_cdf_table,
                           build_parser, console_main, main, parse_number)
 
 
@@ -232,6 +232,11 @@ def scanned_cdf_table(law):
     return rows
 
 
+def table_rows(law, **columns):
+    """The rows cdf.csv gets from _geo_cdf_table's levels: (k, predicted[, ...])."""
+    return _cdf_pack("k", _geo_cdf_table(law), {"predicted": law.cdf, **columns})[1]
+
+
 def thinned(rows):
     """The scan as the table caps it: every stride-th row from the first, plus the last,
     with the smallest stride that leaves at most CDF_POINTS rows."""
@@ -253,7 +258,7 @@ class TestGeoCdfTable:
     def test_matches_thinned_row_by_row_scan(self, omega, beta, n, servers):
         law = MaxLengthLaw(omega, beta, n, servers)
         scan = scanned_cdf_table(law)
-        table = _geo_cdf_table(law)
+        table = table_rows(law)
         assert table == thinned(scan)
         assert len(table) <= CDF_POINTS
         assert (table[0], table[-1]) == (scan[0], scan[-1])
@@ -267,7 +272,7 @@ class TestGeoCdfTable:
     def test_heavy_traffic_table_capped_at_scan_ends(self, omega, beta, n, servers):
         # too long to scan: each end is the first k past its level
         law = MaxLengthLaw(omega, beta, n, servers)
-        table = _geo_cdf_table(law)
+        table = table_rows(law)
         assert len(table) == CDF_POINTS
         (low, first), (high, last) = table[0], table[-1]
         assert first >= CDF_PROB_FLOOR and (low == servers or law.cdf(low - 1) < CDF_PROB_FLOOR)
@@ -278,7 +283,7 @@ class TestGeoCdfTable:
     def test_empirical_column(self):
         law = MaxLengthLaw(0.5, 1.0, 1e3, 1)
         ecdf = ECDF.from_samples([9, 10, 10, 12])
-        rows = _geo_cdf_table(law, empirical=ecdf)
+        rows = table_rows(law, empirical=ecdf.evaluate)
         assert [row[:2] for row in rows] == scanned_cdf_table(law)
         assert [row[2] for row in rows] == [ecdf.evaluate(row[0]) for row in rows]
 
@@ -445,18 +450,37 @@ class TestCompare:
         report = read_json(out / "summary.json")
         se = report["empirical"]["se_max_sys"]
         assert abs(report["empirical"]["mean_max_sys"] - 43.109) < 3.0 * se + 0.3
-        assert report["ks_reference"] == "analytic"
+        assert "ks_reference" not in report
         assert 0.0 <= report["ks_distance_sys"] <= 1.0
+        header, _ = read_csv(out / "cdf.csv")
+        assert header == ["y", "predicted_sys", "empirical_sys", "predicted_que", "empirical_que"]
 
-    def test_mm_multi_server_compare_uses_gumbel_reference(self, tmp_path, capsys):
+    def test_mm_multi_server_compare_reports_only_the_fit(self, tmp_path, capsys):
+        # no analytic law at c >= 2: a KS distance to a fit of the same sample would be circular
         out = tmp_path / "cmpmm2"
         assert main(["compare", "mm", "--lambda", "1/3", "--mu", "1/4", "--c", "2",
                      "--n", "500", "--reps", "60", "--seed", "23",
                      "--out", str(out)]) == 0
         report = read_json(out / "summary.json")
         assert report["analytic"] is None
-        assert report["ks_reference"] == "gumbel_fit"
-        assert report["empirical"]["gumbel_fit_sys"]["scale"] > 0.0
+        assert not [key for key in report if key.startswith("ks_")]
+        for label in ("sys", "que"):
+            fit = report["empirical"][f"gumbel_fit_{label}"]
+            assert set(fit) == {"location", "scale"} and fit["scale"] > 0.0
+        header, rows = read_csv(out / "cdf.csv")
+        assert header == ["y", "empirical_sys", "empirical_que"]
+        assert len(rows) == CDF_POINTS
+
+    def test_compare_geo_warns_once_below_the_boundary(self, tmp_path, capsys):
+        # the lattice KS grid starts at the lowest maximum less one: here k = 0, 1 and 2
+        argv = ["compare", "geo", "--p", "0.05", "--r", "0.5", "--c", "3", "--n", "300",
+                "--reps", "50", "--seed", "5"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        below = [w for w in caught if issubclass(w.category, HeuristicRangeWarning)
+                 and "below the 3-server boundary" in str(w.message)]
+        assert len(below) == 1
 
     def test_compare_single_replication_reports_no_se(self, tmp_path, capsys):
         out = tmp_path / "cmp1"

@@ -8,7 +8,8 @@ admit no standard error or Gumbel fit. A refactor of the report builders,
 the CDF tables or the CSV writer must leave every byte in place.
 `manifest.json` is left out: it records a duration and the output path.
 Regenerate the file after a deliberate output change with
-`PYTHONPATH=src python tests/test_cli_golden.py`.
+`PYTHONPATH=src python tests/test_cli_golden.py`, which prints each case whose
+exit code or digests moved from the recorded file, with what moved.
 """
 import hashlib
 import json
@@ -65,13 +66,31 @@ def test_outputs_match_recorded_bytes(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == _golden()[" ".join(argv)]
 
 
+@pytest.mark.filterwarnings("ignore::queuemax.HeuristicRangeWarning")
+@pytest.mark.parametrize("argv", list(_cases()), ids=" ".join)
+def test_no_cdf_table_holds_nan(argv, tmp_path, capsys):
+    main(argv + ["--out", str(tmp_path)])
+    table = tmp_path / "cdf.csv"
+    assert not table.exists() or "nan" not in table.read_text()
+
+
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
     import warnings
 
     warnings.simplefilter("ignore")
+    recorded = _golden() if GOLDEN.exists() else {}
     cases = []
     for argv in _cases():
-        with tempfile.TemporaryDirectory() as tmp:
-            cases.append(_run(argv, Path(tmp)))
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            case = _run(argv, Path(tmp))
+        cases.append(case)
+        old = recorded.get(" ".join(argv), {"exit": None, "sha256": {}})
+        moved = ["exit"] if old["exit"] != case["exit"] else []
+        moved += [name for name in FILES if old["sha256"].get(name) != case["sha256"][name]]
+        if moved:
+            print(f"{' '.join(argv)}: {', '.join(moved)}")
     GOLDEN.write_text(json.dumps({"cases": cases}, indent=1) + "\n")

@@ -342,6 +342,24 @@ class TestClumpRateAndMaxLaw:
             value = max_length_law(analysis, 100).cdf(2)
         assert 0.0 <= value <= 1.0
 
+    def test_cdf_over_an_array_equals_its_scalar_values_bit_for_bit(self):
+        law = max_length_law(analyze_geo(REFERENCE), 10**4)
+        levels = np.arange(3, 120)
+        values = law.cdf(levels)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.tolist() == [law.cdf(k) for k in range(3, 120)]
+        assert type(law.cdf(15)) is float
+        assert law.cdf(levels.reshape(9, 13)).tolist() == values.reshape(9, 13).tolist()
+        assert law.cdf(np.arange(0)).shape == (0,)
+
+    def test_array_below_boundary_warns_once_at_its_lowest_level(self):
+        law = max_length_law(analyze_geo(REFERENCE), 100)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            law.cdf(np.arange(-1, 6))
+        assert [str(w.message).split(" below")[0] for w in caught] == [
+            "maximum-law CDF evaluated at k=-1"]
+
     def test_mean_warns_below_one_clump(self):
         # c = 1, r = 0.05, load 0.9999 of the benchmark's sweep: beta * n = 5.3e-5
         analysis, n = analyze_geo(validate_geo_params(0.05 * 0.9999, 0.05, 1)), 10**5

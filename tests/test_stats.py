@@ -129,7 +129,7 @@ class TestKSDistance:
     def test_continuous_mode_uses_both_gaps(self):
         # uniform CDF against two samples: lower gap at the first jump dominates
         ecdf = ECDF.from_samples([0.9, 0.95])
-        distance = ks_distance(ecdf, lambda x: min(max(x, 0.0), 1.0))
+        distance = ks_distance(ecdf, lambda x: np.clip(x, 0.0, 1.0))
         assert distance == pytest.approx(0.9, rel=1e-12)
 
     def test_lattice_gap_between_support_points(self):
@@ -138,13 +138,22 @@ class TestKSDistance:
         ecdf = ECDF.from_samples([3, 7])
 
         def reference(k):
-            if k < 3:
-                return 0.0
-            if k < 4:
-                return 0.5
-            return 1.0 if k >= 4 else 0.5
+            return np.where(k < 3, 0.0, np.where(k < 4, 0.5, 1.0))
 
         assert ks_distance(ecdf, reference, lattice=True) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("lattice,points", [(False, [3, 7, 12]), (True, list(range(2, 13)))])
+    def test_reference_is_called_once_with_an_array(self, lattice, points):
+        ecdf = ECDF.from_samples([3, 7, 7, 12])
+        calls = []
+
+        def reference(x):
+            calls.append(x)
+            return GumbelParams(8.0, 2.0).cdf(x)
+
+        ks_distance(ecdf, reference, lattice=lattice)
+        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+        assert calls[0].tolist() == points
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(12)
