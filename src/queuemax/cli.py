@@ -150,6 +150,11 @@ def _gumbel_fit(samples):
     return gumbel_fit_two_moment(samples) if samples.std() > 0 else None
 
 
+def _se(result):
+    """The standard error of a replicated mean, or None from one replication, which has none."""
+    return result.se if len(result.samples) > 1 else None
+
+
 def _fit_report(fit):
     return {"location": fit.location, "scale": fit.scale} if fit else None
 
@@ -224,7 +229,7 @@ def _simulate_geo(params, n, reps, seed):
     result, report, samples = _geo_replicate(params, n, reps, seed)
     report["max_length"] = {
         "mean": result.mean,
-        "se": result.se,
+        "se": _se(result),
         "min": int(result.samples.min()),
         "max": int(result.samples.max()),
     }
@@ -246,7 +251,7 @@ def _compare_geo(params, n, reps, seed):
     }
     report["empirical"] = {
         "mean_max": result.mean,
-        "se": result.se if reps > 1 else None,
+        "se": _se(result),
         "gumbel_fit": _fit_report(_gumbel_fit(result.samples)),
     }
     report["ks_distance"] = ks_distance(result.ecdf, law.cdf, lattice=True)
@@ -315,8 +320,8 @@ def _mm_replicate(params, n, reps, seed):
 def _simulate_mm(params, n, reps, seed):
     result, report, samples = _mm_replicate(params, n, reps, seed)
     report.update({
-        "max_sys": {"mean": result.max_sys.mean, "se": result.max_sys.se},
-        "max_que": {"mean": result.max_que.mean, "se": result.max_que.se},
+        "max_sys": {"mean": result.max_sys.mean, "se": _se(result.max_sys)},
+        "max_que": {"mean": result.max_que.mean, "se": _se(result.max_que)},
         "mean_sys": {"pooled": result.pooled_mean_sys, "per_rep_mean": result.mean_sys.mean},
         "mean_que": {"pooled": result.pooled_mean_que, "per_rep_mean": result.mean_que.mean},
         "customers": int(result.customers.sum()),
@@ -331,9 +336,9 @@ def _compare_mm(params, n, reps, seed):
     fits = {label: _gumbel_fit(sim.samples) for label, sim in maxima.items()}
     report["empirical"] = {
         "mean_max_sys": result.max_sys.mean,
-        "se_max_sys": result.max_sys.se if reps > 1 else None,
+        "se_max_sys": _se(result.max_sys),
         "mean_max_que": result.max_que.mean,
-        "se_max_que": result.max_que.se if reps > 1 else None,
+        "se_max_que": _se(result.max_que),
         "pooled_mean_que": result.pooled_mean_que,
         "gumbel_fit_sys": _fit_report(fits["sys"]),
         "gumbel_fit_que": _fit_report(fits["que"]),

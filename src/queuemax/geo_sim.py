@@ -31,10 +31,19 @@ chunks leave every sample unchanged: a run is fixed by its seeds alone.
   and the sum of u; the last (slots mod L) slots take a shorter walk's.
 - `_run_single` steps one trajectory L slots per Python iteration, in draws
   of 4,096 slots: draws of 32,768 took 5*10^4 slots at c = 3 from 6.2 to
-  5.7 ms but the traced peak memory from 0.28 to 1.1 MB (2-vCPU Xeon).
-- `_run_many` vectorizes the replications of `replicate_max_length`.
-  `_gather_maxima` moves every replication L slots per step, with two
-  gathers. A narrow c = 1 chunk (fewer than 2 * DRAW_CHUNK generators) needs
+  5.7 ms but the traced peak memory from 0.28 to 1.1 MB (2-vCPU Xeon). Its
+  tables, from `_scalar_tables` (0.3 ms at c = 3), are built once per chunk.
+- `_run_many` takes the replications of `replicate_max_length`, one kernel
+  per chunk by its width. `_gather_maxima` moves every replication L slots
+  per step, with two gathers, but pays seven numpy calls per step at any
+  width. A narrow c >= 2 chunk (at most SCALAR_REPS = 16 generators) walks
+  through `_run_single` one trajectory at a time instead. Scalar / gather,
+  tables built once, read at c = 3 (p = 1/3, r = 1/6) 0.04 at 1 rep, 0.42
+  at 8, 0.82 at 16, 1.17 at 24 and 1.39 at 32 over 5*10^4 slots, and 0.86,
+  1.18 and 1.45 at 16, 24 and 32 over 2500; at c = 2 (p = 0.3, r = 0.25)
+  0.39, 0.83, 1.00 and 1.50 at 8, 16, 24 and 32 over 5*10^4 slots, and
+  0.89, 1.23 and 1.50 at 16, 24 and 32 over 2500 (medians of 7, 2-vCPU Xeon).
+  A narrow c = 1 chunk (fewer than 2 * DRAW_CHUNK generators) needs
   no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t, a_t)
   (Lindley 1952), so with S = cumsum(inc[1]) over a block,
   u = S + max(u_0, maximum.accumulate(a - S)); u is carried across blocks.
@@ -62,6 +71,7 @@ BLOCK = 512        # slots per generator call (performance only: the stream does
 REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
 DRAW_CHUNK = 64    # replications drawn and bucketed together (performance only)
 SCALAR_BLOCKS = 8  # BLOCKs per draw of one trajectory in _run_single (performance only)
+SCALAR_REPS = 16   # widest c >= 2 chunk walked one trajectory at a time (performance only)
 STATE_CAP = 2**30  # tripwire: maxima are O(ln n), so this can only mean a bug
 INCREMENT_METHOD = "one uniform per slot, inverse CDF from +1 down"  # recorded in manifests
 
@@ -132,11 +142,19 @@ def _draw_buckets(gens, n: int, cuts, block: int):
             yield lo, hi, out
 
 
-def _run_single(params: GeoParams, gen: np.random.Generator, edges):
-    """One trajectory, drawn batch by batch: its maximum and the sum of u over each batch."""
-    c = params.c
+def _scalar_tables(params: GeoParams):
+    """What `_run_single` reads: c, the cuts, the bucket count and the walk tables' int16 rows."""
     cuts, table = _decode_table(params)
-    walks = [tuple(map(memoryview, walk)) for walk in _walk_tables(c, table)]  # int16 rows
+    walks = [tuple(map(memoryview, walk)) for walk in _walk_tables(params.c, table)]
+    return params.c, cuts, len(table), walks
+
+
+def _run_single(tables, gen: np.random.Generator, edges):
+    """One trajectory, drawn batch by batch: its maximum and the sum of u over each batch.
+
+    `tables` comes from `_scalar_tables`, built once for all the trajectories of a chunk.
+    """
+    c, cuts, radix, walks = tables
     group, cap = len(walks) - 1, c * (len(walks) - 1)
     index = np.empty((SCALAR_BLOCKS * BLOCK // group + 1, 1), dtype=np.int16)
     u = peak = 0
@@ -144,7 +162,7 @@ def _run_single(params: GeoParams, gen: np.random.Generator, edges):
     for lo, hi in zip(edges, edges[1:]):
         total = 0
         for _, _, buckets in _draw_buckets([gen], hi - lo, cuts, SCALAR_BLOCKS * BLOCK):
-            groups, rest = _group_indices(buckets, group, len(table), cap + 1, index)
+            groups, rest = _group_indices(buckets, group, radix, cap + 1, index)
             offsets = index[:groups + (rest > 0), 0].tolist()
             for k, run in ((group, offsets[:groups]), (rest, offsets[groups:])):
                 delta, top, area = walks[k]
@@ -160,7 +178,16 @@ def _run_single(params: GeoParams, gen: np.random.Generator, edges):
 
 
 def _run_many(params: GeoParams, n: int, gens) -> np.ndarray:
-    """Maxima of len(gens) independent trajectories, vectorized over replications."""
+    """Maxima of len(gens) independent trajectories, by the kernel fastest at that width.
+
+    At c >= 2, a chunk of at most SCALAR_REPS generators walks one trajectory
+    at a time through `_run_single`, whose tables are built once here; wider
+    chunks take the gather. At c = 1 the Lindley kernel takes chunks below
+    2 * DRAW_CHUNK and the gather the rest. The module docstring has the timings.
+    """
+    if params.c > 1 and len(gens) <= SCALAR_REPS:
+        tables = _scalar_tables(params)
+        return np.array([_run_single(tables, gen, [0, n])[0] for gen in gens])
     narrow = params.c == 1 and len(gens) < 2 * DRAW_CHUNK
     kernel = _lindley_maxima if narrow else _gather_maxima
     return kernel(params, n, gens)
@@ -268,7 +295,8 @@ def _gather_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
 def simulate_max_length(params: GeoParams, n: int, seed: int) -> int:
     """Maximum queue length observed over an n-step trajectory; GeoSimConfig checks n and seed."""
     GeoSimConfig(params, n, 1, seed)
-    peak, _ = _run_single(params, np.random.Generator(np.random.PCG64(seed)), [0, n])
+    gen = np.random.Generator(np.random.PCG64(seed))
+    peak, _ = _run_single(_scalar_tables(params), gen, [0, n])
     return peak
 
 
@@ -283,7 +311,7 @@ def time_average_queue_length(params: GeoParams, n: int, seed: int, batches: int
     check_campaign(seed, horizon=n, batches=batches)
     edges = [round(i * n / batches) for i in range(batches + 1)]
     gen = np.random.Generator(np.random.PCG64(seed))
-    _, batch_sums = _run_single(params, gen, edges)
+    _, batch_sums = _run_single(_scalar_tables(params), gen, edges)
     means = np.asarray(batch_sums) / np.diff(edges)
     return float(means.mean()), float(means.std(ddof=1) / sqrt(batches))
 

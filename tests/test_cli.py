@@ -366,6 +366,17 @@ class TestSimulate:
         assert summarize(max_sys).mean == report["max_sys"]["mean"]
         assert summarize(max_sys).se == report["max_sys"]["se"]
 
+    @pytest.mark.parametrize("args,keys", [
+        (["geo", "--p", "1/3", "--r", "1/6", "--c", "3", "--n", "500"], ["max_length"]),
+        (["mm", "--lambda", "1/3", "--mu", "1/4", "--c", "2", "--n", "200"],
+         ["max_sys", "max_que"])])
+    def test_single_replication_reports_no_se(self, tmp_path, capsys, args, keys):
+        # one maximum has no spread to estimate, so se is null, as compare reports it
+        assert main(["simulate", *args, "--reps", "1", "--seed", "2",
+                     "--out", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "summary.json")
+        assert [report[key]["se"] for key in keys] == [None] * len(keys)
+
     def test_manifest_replays_identically(self, tmp_path, capsys):
         out = tmp_path / "orig"
         args = ["simulate", "mm", "--lambda", "0.5", "--mu", "1.0", "--c", "1",

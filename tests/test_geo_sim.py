@@ -15,6 +15,7 @@ from queuemax import (ConvergenceError, GeoSimConfig, RangeError, analyze_geo, e
 REFERENCE = validate_geo_params(1 / 3, 1 / 6, 3)
 FAST_SINGLE = validate_geo_params(1 / 3, 1 / 2, 1)
 TWO_SERVERS = validate_geo_params(0.3, 0.25, 2)  # walks of L = 4 slots, against 3 at c = 3
+SCALAR_REPS = geo_sim.SCALAR_REPS  # c >= 2 chunks up to this wide walk one replication at a time
 
 
 class TestConfig:
@@ -49,20 +50,23 @@ class TestDeterminism:
         assert result.se == 0.0
 
     # 1500 and 1503 slots end on a walk of 4 and of 3 slots at c = 2
+    @pytest.mark.parametrize("reps", [16, SCALAR_REPS + 1])  # the second gathers at c >= 2
     @pytest.mark.parametrize("params,n", [(REFERENCE, 2500), (FAST_SINGLE, 2500),
                                           (TWO_SERVERS, 1500), (TWO_SERVERS, 1503)])
-    def test_scalar_and_vector_paths_agree(self, params, n):
+    def test_scalar_and_vector_paths_agree(self, params, n, reps):
         master = 2718
-        config = GeoSimConfig(params, n, 16, master)
+        config = GeoSimConfig(params, n, reps, master)
         vector = replicate_max_length(config).samples
-        scalar = [geo_sim._run_single(params, substream_generator(master, i), [0, n])[0]
-                  for i in range(16)]
+        tables = geo_sim._scalar_tables(params)
+        scalar = [geo_sim._run_single(tables, substream_generator(master, i), [0, n])[0]
+                  for i in range(reps)]
         assert vector.tolist() == scalar
 
     def test_schedule_independence(self, monkeypatch):
         # blocks end on every shorter walk k < L: at c = 3 (800 slots) k = 1 with
         # blocks of 1 and 7, k = 2 with 7, 333 and 4096; at c = 2 (802 slots) k = 1
-        # with 1 and 333, k = 3 with 7, k = 2 with 4096
+        # with 1 and 333, k = 3 with 7, k = 2 with 4096. Chunks of 7 replications
+        # walk one at a time at c >= 2; chunks of SCALAR_REPS + 1 (17, 17, 16) gather too.
         for params, n in ((REFERENCE, 800), (FAST_SINGLE, 800), (TWO_SERVERS, 802)):
             config = GeoSimConfig(params, n, 50, seed=5)
             reference_samples = replicate_max_length(config).samples
@@ -70,43 +74,54 @@ class TestDeterminism:
                 with monkeypatch.context() as patch:
                     patch.setattr(geo_sim, "BLOCK", block)
                     patch.setattr(geo_sim, "DRAW_CHUNK", 3)
-                    patch.setattr(geo_sim, "REP_CHUNK", 7)
-                    chunked = replicate_max_length(config).samples
+                    chunked = []
+                    for rep_chunk in (7, SCALAR_REPS + 1):
+                        patch.setattr(geo_sim, "REP_CHUNK", rep_chunk)
+                        chunked.append(replicate_max_length(config).samples)
                     gen = substream_generator(5, 49)
-                    scalar, _ = geo_sim._run_single(params, gen, [0, n])
-                assert np.array_equal(reference_samples, chunked)
+                    scalar, _ = geo_sim._run_single(geo_sim._scalar_tables(params), gen, [0, n])
+                for samples in chunked:
+                    assert np.array_equal(reference_samples, samples)
                 assert scalar == reference_samples[49]
 
 
 class TestKernelChoice:
-    """Both kernels give identical maxima, so only a spy can see which one ran."""
+    """All kernels give identical maxima, so only a spy can see which one ran."""
 
     @pytest.mark.parametrize("params,reps,kernel", [
+        (FAST_SINGLE, 1, "_lindley_maxima"),
+        (FAST_SINGLE, SCALAR_REPS, "_lindley_maxima"),
         (FAST_SINGLE, 2 * geo_sim.DRAW_CHUNK - 1, "_lindley_maxima"),
         (FAST_SINGLE, 2 * geo_sim.DRAW_CHUNK, "_gather_maxima"),
-        (REFERENCE, 1, "_gather_maxima"),
+        (TWO_SERVERS, 1, "_run_single"),
+        (TWO_SERVERS, SCALAR_REPS, "_run_single"),
+        (TWO_SERVERS, SCALAR_REPS + 1, "_gather_maxima"),
+        (REFERENCE, 1, "_run_single"),
+        (REFERENCE, SCALAR_REPS, "_run_single"),
+        (REFERENCE, SCALAR_REPS + 1, "_gather_maxima"),
         (REFERENCE, 2 * geo_sim.DRAW_CHUNK - 1, "_gather_maxima"),
         (REFERENCE, 2 * geo_sim.DRAW_CHUNK, "_gather_maxima")])
     def test_run_many_picks_kernel_by_width(self, monkeypatch, params, reps, kernel):
         calls = []
-        for name in ("_lindley_maxima", "_gather_maxima"):
+        for name in ("_lindley_maxima", "_gather_maxima", "_run_single"):
             def spy(*args, _name=name, _real=getattr(geo_sim, name)):
                 calls.append(_name)
                 return _real(*args)
             monkeypatch.setattr(geo_sim, name, spy)
         gens = [substream_generator(7, i) for i in range(reps)]
         geo_sim._run_many(params, 100, gens)
-        assert calls == [kernel]
+        assert calls == [kernel] * (reps if kernel == "_run_single" else 1)
 
 
 class TestStateCap:
     """The tripwire raises a typed error, so it holds under `python -O` too."""
 
+    @pytest.mark.parametrize("reps", [8, SCALAR_REPS + 1])  # the second gathers at c = 3
     @pytest.mark.parametrize("params", [REFERENCE, FAST_SINGLE])
-    def test_vector_path_raises(self, monkeypatch, params):
+    def test_vector_path_raises(self, monkeypatch, params, reps):
         monkeypatch.setattr(geo_sim, "STATE_CAP", 3)
         with pytest.raises(ConvergenceError, match="state cap"):
-            replicate_max_length(GeoSimConfig(params, 5000, 8, seed=1))
+            replicate_max_length(GeoSimConfig(params, 5000, reps, seed=1))
 
     @pytest.mark.parametrize("params", [REFERENCE, FAST_SINGLE])
     def test_scalar_path_raises(self, monkeypatch, params):
@@ -114,16 +129,18 @@ class TestStateCap:
         with pytest.raises(ConvergenceError, match="state cap"):
             simulate_max_length(params, 5000, seed=1)
 
-    def test_below_cap_runs(self, monkeypatch):
-        config = GeoSimConfig(REFERENCE, 2000, 8, seed=1)
+    @pytest.mark.parametrize("reps", [8, SCALAR_REPS + 1])
+    def test_below_cap_runs(self, monkeypatch, reps):
+        config = GeoSimConfig(REFERENCE, 2000, reps, seed=1)
         peak = int(replicate_max_length(config).samples.max())
         monkeypatch.setattr(geo_sim, "STATE_CAP", peak + 1)
         assert int(replicate_max_length(config).samples.max()) == peak
 
-    def test_cli_exits_numeric(self, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("reps", [8, SCALAR_REPS + 1])
+    def test_cli_exits_numeric(self, monkeypatch, tmp_path, capsys, reps):
         monkeypatch.setattr(geo_sim, "STATE_CAP", 3)
         code = main(["simulate", "geo", "--p", "1/3", "--r", "1/6", "--c", "3",
-                     "--n", "5000", "--reps", "8", "--out", str(tmp_path)])
+                     "--n", "5000", "--reps", str(reps), "--out", str(tmp_path)])
         assert code == EXIT_NUMERIC
         assert "state cap" in capsys.readouterr().err
 

@@ -44,7 +44,7 @@ PARAMS = {1: validate_geo_params(1 / 3, 1 / 2, 1),
           3: validate_geo_params(1 / 3, 1 / 6, 3)}
 HORIZONS = (1, 1500, 2500)
 REP_COUNTS = (1, 65, 130)
-BLOCK, CHUNK = geo_sim.BLOCK, geo_sim.DRAW_CHUNK
+BLOCK, CHUNK, SCALAR_REPS = geo_sim.BLOCK, geo_sim.DRAW_CHUNK, geo_sim.SCALAR_REPS
 # (n, batches): batch edges at, just past and across the block edges of BLOCK = 512
 TIME_AVERAGES = ((100, 100), (513, 2), (1000, 7), (1537, 3), (2048, 4), (5000, 9))
 MAXIMA_HORIZONS = (1, 511, 512, 513, 1537, 3000)
@@ -143,9 +143,11 @@ def test_scalar_maxima_over_short_horizons(c):
 @settings(max_examples=40, deadline=None)
 @given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
        n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000]),
-       reps=st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
-                             2 * CHUNK + 1]),
+       reps=st.sampled_from([1, 2, SCALAR_REPS, SCALAR_REPS + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                             2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]),
        master=st.integers(0, 2**63 - 1))
+@example(p=1 / 3, r=1 / 6, c=3, n=BLOCK + 1, reps=SCALAR_REPS, master=3)  # widest scalar chunk
+@example(p=1 / 3, r=1 / 6, c=3, n=BLOCK + 1, reps=SCALAR_REPS + 1, master=3)  # c = 3 gather
 @example(p=1 / 3, r=1 / 2, c=1, n=BLOCK + 1, reps=2 * CHUNK - 1, master=3)  # widest Lindley chunk
 @example(p=1 / 3, r=1 / 2, c=1, n=BLOCK + 1, reps=2 * CHUNK, master=3)  # narrowest c = 1 gather
 def test_vector_kernel_matches_exact_recursion(p, r, c, n, reps, master):
@@ -169,7 +171,8 @@ def test_scalar_path_matches_exact_recursion(p, r, c, n, cuts, seed):
     assume(p < c * r)
     edges = sorted([0, n, *(round(x * n) for x in cuts)])  # repeats make empty batches
     params = validate_geo_params(p, r, c)
-    got = geo_sim._run_single(params, np.random.Generator(np.random.PCG64(seed)), edges)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    got = geo_sim._run_single(geo_sim._scalar_tables(params), gen, edges)
     want = geo_max_by_recursion(p, r, c, n, np.random.Generator(np.random.PCG64(seed)), edges)
     assert got == want
 
@@ -211,7 +214,15 @@ def test_decode_table_reproduces_each_law(params):
         assert np.all((0 <= arrival_less_step) & (arrival_less_step <= 1))
 
 
-INT16_MAX = np.iinfo(np.int16).max
+INT8_MAX, INT16_MAX = np.iinfo(np.int8).max, np.iinfo(np.int16).max
+
+
+def test_bucket_count_fits_int8():
+    # _draw_buckets counts the cuts at or below each uniform in int8, and the count wraps
+    # silently. With at most (c+1)(c+2)/2 cuts, the count can pass int8 from c = 15 on.
+    overflows = next(c for c in count(1) if (c + 1) * (c + 2) // 2 > INT8_MAX)
+    assert overflows == 15
+    assert MAX_SERVERS < overflows, "c >= 15 needs a wider bucket count in _draw_buckets"
 
 
 def _largest_group_index(c, cuts, group):
