@@ -21,6 +21,8 @@ import os
 import secrets
 import sys
 import time
+import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from math import ceil, inf, log
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericError, QueueMaxError, RangeError
+from .errors import HeuristicRangeWarning, NumericError, QueueMaxError, RangeError
 from .geo_analysis import analyze_geo, expected_max_length, max_length_law
 # not called here; kept as cli.mean_queue_length, which the perfbench tracer wraps and probes call
 from .geo_analysis import mean_queue_length  # noqa: F401
@@ -444,19 +446,37 @@ def run(argv) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _warnings_like_errors():
+    """Print each HeuristicRangeWarning shown on stderr as one `warning: ...` line."""
+    default = warnings.formatwarning
+
+    def one_line(message, category, *where):
+        if issubclass(category, HeuristicRangeWarning):
+            return f"warning: {message}\n"
+        return default(message, category, *where)
+
+    warnings.formatwarning = one_line
+    try:
+        yield
+    finally:
+        warnings.formatwarning = default
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        return run(argv)
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except QueueMaxError as exc:  # the rest are validation errors: range, stability, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    with _warnings_like_errors():
+        try:
+            return run(argv)
+        except NumericError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except OSError as exc:
+            print(f"i/o failure: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except QueueMaxError as exc:  # the rest are validation errors: range, stability, ...
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
 
 
 def console_main() -> None:

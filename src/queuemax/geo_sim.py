@@ -29,20 +29,27 @@ chunks leave every sample unchanged: a run is fixed by its seeds alone.
   every start min(u, cL) and combination of L buckets (one int16 index, from
   `_group_indices`), the tables give the change in u, the highest u reached
   and the sum of u; the last (slots mod L) slots take a shorter walk's.
-- `_run_single` steps one trajectory L slots per Python iteration, in draws
-  of 4,096 slots: draws of 32,768 took 5*10^4 slots at c = 3 from 6.2 to
-  5.7 ms but the traced peak memory from 0.28 to 1.1 MB (2-vCPU Xeon). Its
-  tables, from `_scalar_tables` (0.3 ms at c = 3), are built once per chunk.
+- `_run_single` takes single runs, time averages and narrow chunks. Each
+  draw of up to 4,096 slots is bucketed and grouped for all its generators
+  at once. Per generator, one list comprehension advances u over the
+  draw's whole groups and records u; numpy takes at those start states
+  then give the peak, max(u + top), and the area, L sum(u) + sum(area); the
+  last (slots mod L) slots are stepped in Python. Its scratch is one row of
+  4,096 doubles per generator, and it builds its tables (0.3 ms at c = 3)
+  once per call. At c = 3, 16 generators x 5*10^4 slots spent about 14% of the call
+  decoding, 61% walking and 25% in the numpy takes (2-vCPU Xeon).
 - `_run_many` takes the replications of `replicate_max_length`, one kernel
   per chunk by its width. `_gather_maxima` moves every replication L slots
   per step, with two gathers, but pays seven numpy calls per step at any
-  width. A narrow c >= 2 chunk (at most SCALAR_REPS = 16 generators) walks
-  through `_run_single` one trajectory at a time instead. Scalar / gather,
-  tables built once, read at c = 3 (p = 1/3, r = 1/6) 0.04 at 1 rep, 0.42
-  at 8, 0.82 at 16, 1.17 at 24 and 1.39 at 32 over 5*10^4 slots, and 0.86,
-  1.18 and 1.45 at 16, 24 and 32 over 2500; at c = 2 (p = 0.3, r = 0.25)
-  0.39, 0.83, 1.00 and 1.50 at 8, 16, 24 and 32 over 5*10^4 slots, and
-  0.89, 1.23 and 1.50 at 16, 24 and 32 over 2500 (medians of 7, 2-vCPU Xeon).
+  width. A narrow c >= 2 chunk (at most SCALAR_REPS = 28 generators) goes
+  through one `_run_single` call instead. Scalar / gather, each building its
+  own tables, read at c = 3 (p = 1/3, r = 1/6) 0.34 at 8 reps, 0.55 at 16,
+  0.77 at 24, 0.85 at 28, 0.97 at 32, 1.14 at 40 and 1.38 at 48 over
+  5*10^4 slots, and 0.63 and 1.23 at 16 and 40 over 2500; at c = 2
+  (p = 0.3, r = 0.25) 0.71, 1.06 and 1.16 at 16, 32 and 40 over 5*10^4
+  slots, and 0.62, 1.00 and 1.14 over 2500 (medians of 7, 2-vCPU Xeon).
+  Three rounds at 24, 28 and 32 read 0.68-0.86, 0.83-1.02 and 0.92-1.33
+  over both horizons and both c.
   A narrow c = 1 chunk (fewer than 2 * DRAW_CHUNK generators) needs
   no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t, a_t)
   (Lindley 1952), so with S = cumsum(inc[1]) over a block,
@@ -70,8 +77,8 @@ from .replication import (SimResult, check_campaign, make_sim_result, substream_
 BLOCK = 512        # slots per generator call (performance only: the stream does not depend on it)
 REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
 DRAW_CHUNK = 64    # replications drawn and bucketed together (performance only)
-SCALAR_BLOCKS = 8  # BLOCKs per draw of one trajectory in _run_single (performance only)
-SCALAR_REPS = 16   # widest c >= 2 chunk walked one trajectory at a time (performance only)
+SCALAR_BLOCKS = 8  # BLOCKs per draw in _run_single (performance only)
+SCALAR_REPS = 28   # widest c >= 2 chunk walked by _run_single (performance only)
 STATE_CAP = 2**30  # tripwire: maxima are O(ln n), so this can only mean a bug
 INCREMENT_METHOD = "one uniform per slot, inverse CDF from +1 down"  # recorded in manifests
 
@@ -142,52 +149,62 @@ def _draw_buckets(gens, n: int, cuts, block: int):
             yield lo, hi, out
 
 
-def _scalar_tables(params: GeoParams):
-    """What `_run_single` reads: c, the cuts, the bucket count and the walk tables' int16 rows."""
-    cuts, table = _decode_table(params)
-    walks = [tuple(map(memoryview, walk)) for walk in _walk_tables(params.c, table)]
-    return params.c, cuts, len(table), walks
+def _run_single(params: GeoParams, gens, edges):
+    """Trajectories drawn batch by batch, each draw decoded for all of them at once.
 
-
-def _run_single(tables, gen: np.random.Generator, edges):
-    """One trajectory, drawn batch by batch: its maximum and the sum of u over each batch.
-
-    `tables` comes from `_scalar_tables`, built once for all the trajectories of a chunk.
+    Returns each generator's maximum and its sums of u over the batches. Per
+    row, a comprehension walks the whole groups of a draw, recording only u;
+    their peak and area then come from numpy takes at the recorded start
+    states, and the leftover group of (slots mod L) is stepped in Python.
     """
-    c, cuts, radix, walks = tables
+    c, (cuts, table) = params.c, _decode_table(params)
+    walks, radix = _walk_tables(c, table), len(table)
     group, cap = len(walks) - 1, c * (len(walks) - 1)
-    index = np.empty((SCALAR_BLOCKS * BLOCK // group + 1, 1), dtype=np.int16)
-    u = peak = 0
-    sums = []
+    views = [tuple(map(memoryview, walk)) for walk in walks]
+    delta, (_, top, area) = views[group][0], walks[group]
+    count, draw = len(gens), SCALAR_BLOCKS * BLOCK
+    index = np.empty((draw // group + 1, min(DRAW_CHUNK, count)), dtype=np.int16)
+    u, peaks, sums = [0] * count, [0] * count, [[] for _ in gens]
     for lo, hi in zip(edges, edges[1:]):
-        total = 0
-        for _, _, buckets in _draw_buckets([gen], hi - lo, cuts, SCALAR_BLOCKS * BLOCK):
+        totals = [0] * count
+        for first, last, buckets in _draw_buckets(gens, hi - lo, cuts, draw):
             groups, rest = _group_indices(buckets, group, radix, cap + 1, index)
-            offsets = index[:groups + (rest > 0), 0].tolist()
-            for k, run in ((group, offsets[:groups]), (rest, offsets[groups:])):
-                delta, top, area = walks[k]
-                for g in run:
-                    i = g + (u if u < cap else cap)
-                    total += k * u + area[i]
-                    if u + k > peak and u + top[i] > peak:  # k slots climb at most k
-                        peak = u + top[i]
-                    u += delta[i]
-            _check_state(peak)
-        sums.append(total)
-    return peak, sums
+            rows = last - first
+            if groups:
+                for j, offsets in enumerate(index[:groups, :rows].T, first):
+                    v = u[j]
+                    path = [v]
+                    path += [v := v + delta[g + (v if v < cap else cap)] for g in offsets.tolist()]
+                    u[j] = v
+                    starts = np.fromiter(path, np.int32, groups + 1)[:-1]  # u < STATE_CAP + draw
+                    at = np.minimum(starts, cap)
+                    at += offsets
+                    peaks[j] = max(peaks[j], int((starts + top.take(at)).max()))
+                    totals[j] += group * int(starts.sum()) + int(area.take(at).sum())
+            if rest:
+                short_delta, short_top, short_area = views[rest]
+                for j, g in enumerate(index[groups, :rows].tolist(), first):
+                    v = u[j]
+                    i = g + (v if v < cap else cap)
+                    peaks[j] = max(peaks[j], v + short_top[i])
+                    totals[j] += rest * v + short_area[i]
+                    u[j] = v + short_delta[i]
+            _check_state(max(peaks[first:last]))
+        for batches, total in zip(sums, totals):
+            batches.append(total)
+    return peaks, sums
 
 
 def _run_many(params: GeoParams, n: int, gens) -> np.ndarray:
     """Maxima of len(gens) independent trajectories, by the kernel fastest at that width.
 
-    At c >= 2, a chunk of at most SCALAR_REPS generators walks one trajectory
-    at a time through `_run_single`, whose tables are built once here; wider
-    chunks take the gather. At c = 1 the Lindley kernel takes chunks below
-    2 * DRAW_CHUNK and the gather the rest. The module docstring has the timings.
+    At c >= 2, a chunk of at most SCALAR_REPS generators goes through one
+    `_run_single` call; wider chunks take the gather. At c = 1 the Lindley
+    kernel takes chunks below 2 * DRAW_CHUNK and the gather the rest. The
+    module docstring has the timings.
     """
     if params.c > 1 and len(gens) <= SCALAR_REPS:
-        tables = _scalar_tables(params)
-        return np.array([_run_single(tables, gen, [0, n])[0] for gen in gens])
+        return np.array(_run_single(params, gens, [0, n])[0])
     narrow = params.c == 1 and len(gens) < 2 * DRAW_CHUNK
     kernel = _lindley_maxima if narrow else _gather_maxima
     return kernel(params, n, gens)
@@ -296,7 +313,7 @@ def simulate_max_length(params: GeoParams, n: int, seed: int) -> int:
     """Maximum queue length observed over an n-step trajectory; GeoSimConfig checks n and seed."""
     GeoSimConfig(params, n, 1, seed)
     gen = np.random.Generator(np.random.PCG64(seed))
-    peak, _ = _run_single(_scalar_tables(params), gen, [0, n])
+    (peak,), _ = _run_single(params, [gen], [0, n])
     return peak
 
 
@@ -311,7 +328,7 @@ def time_average_queue_length(params: GeoParams, n: int, seed: int, batches: int
     check_campaign(seed, horizon=n, batches=batches)
     edges = [round(i * n / batches) for i in range(batches + 1)]
     gen = np.random.Generator(np.random.PCG64(seed))
-    _, batch_sums = _run_single(_scalar_tables(params), gen, edges)
+    _, (batch_sums,) = _run_single(params, [gen], edges)
     means = np.asarray(batch_sums) / np.diff(edges)
     return float(means.mean()), float(means.std(ddof=1) / sqrt(batches))
 

@@ -502,6 +502,15 @@ class TestCompare:
         assert report["empirical"]["se"] is None
 
 
+def _cli_process(*argv):
+    """`python -m queuemax.cli ARGV` in a fresh interpreter, with this checkout's package."""
+    src = str(Path(queuemax.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "queuemax.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         assert main(["analyze", "geo", "--p", "0.1", "--r", "0.2", "--c", "3"]) == 0
@@ -627,20 +636,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"{prefix}: synthetic failure\n"
 
     def test_module_entry_point(self):
-        src = str(Path(queuemax.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-        def cli(*argv):
-            return subprocess.run([sys.executable, "-m", "queuemax.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=60)
-
-        version = cli("--version")
+        version = _cli_process("--version")
         assert version.returncode == 0
         assert version.stdout.strip() == f"queuemax {queuemax.__version__}"
-        rejected = cli("analyze", "geo", "--p", "1/3", "--r", "1/6", "--c", "3", "--n", "1")
+        rejected = _cli_process("analyze", "geo", "--p", "1/3", "--r", "1/6", "--c", "3",
+                                "--n", "1")
         assert rejected.returncode == 2
         assert "n >= 2" in rejected.stderr
+
+    def test_warning_prints_one_line_like_an_error(self):
+        # outside pytest's warnings-as-errors filters, as a user runs it
+        run = _cli_process("analyze", "mm", "--lambda", "1e-300", "--mu", "2", "--c", "1",
+                           "--n", "10")
+        assert run.returncode == 2
+        warning, error = run.stderr.splitlines()
+        assert warning == ("warning: expected maximum wait evaluated at A*n=1e-299 < 1; "
+                           "the asymptotic approximation is unreliable there")
+        assert error.startswith("error: ")
 
 
 class TestAnalyticEdges:

@@ -15,7 +15,7 @@ from queuemax import (ConvergenceError, GeoSimConfig, RangeError, analyze_geo, e
 REFERENCE = validate_geo_params(1 / 3, 1 / 6, 3)
 FAST_SINGLE = validate_geo_params(1 / 3, 1 / 2, 1)
 TWO_SERVERS = validate_geo_params(0.3, 0.25, 2)  # walks of L = 4 slots, against 3 at c = 3
-SCALAR_REPS = geo_sim.SCALAR_REPS  # c >= 2 chunks up to this wide walk one replication at a time
+SCALAR_REPS = geo_sim.SCALAR_REPS  # c >= 2 chunks up to this wide go through _run_single
 
 
 class TestConfig:
@@ -57,16 +57,15 @@ class TestDeterminism:
         master = 2718
         config = GeoSimConfig(params, n, reps, master)
         vector = replicate_max_length(config).samples
-        tables = geo_sim._scalar_tables(params)
-        scalar = [geo_sim._run_single(tables, substream_generator(master, i), [0, n])[0]
-                  for i in range(reps)]
+        gens = [substream_generator(master, i) for i in range(reps)]
+        scalar, _ = geo_sim._run_single(params, gens, [0, n])
         assert vector.tolist() == scalar
 
     def test_schedule_independence(self, monkeypatch):
         # blocks end on every shorter walk k < L: at c = 3 (800 slots) k = 1 with
         # blocks of 1 and 7, k = 2 with 7, 333 and 4096; at c = 2 (802 slots) k = 1
         # with 1 and 333, k = 3 with 7, k = 2 with 4096. Chunks of 7 replications
-        # walk one at a time at c >= 2; chunks of SCALAR_REPS + 1 (17, 17, 16) gather too.
+        # walk together at c >= 2; of chunks of SCALAR_REPS + 1 (29 and 21) the first gathers.
         for params, n in ((REFERENCE, 800), (FAST_SINGLE, 800), (TWO_SERVERS, 802)):
             config = GeoSimConfig(params, n, 50, seed=5)
             reference_samples = replicate_max_length(config).samples
@@ -78,11 +77,11 @@ class TestDeterminism:
                     for rep_chunk in (7, SCALAR_REPS + 1):
                         patch.setattr(geo_sim, "REP_CHUNK", rep_chunk)
                         chunked.append(replicate_max_length(config).samples)
-                    gen = substream_generator(5, 49)
-                    scalar, _ = geo_sim._run_single(geo_sim._scalar_tables(params), gen, [0, n])
+                    gens = [substream_generator(5, i) for i in range(45, 50)]  # 2 sub-chunks
+                    scalar, _ = geo_sim._run_single(params, gens, [0, n])
                 for samples in chunked:
                     assert np.array_equal(reference_samples, samples)
-                assert scalar == reference_samples[49]
+                assert scalar == reference_samples[45:].tolist()
 
 
 class TestKernelChoice:
@@ -110,7 +109,7 @@ class TestKernelChoice:
             monkeypatch.setattr(geo_sim, name, spy)
         gens = [substream_generator(7, i) for i in range(reps)]
         geo_sim._run_many(params, 100, gens)
-        assert calls == [kernel] * (reps if kernel == "_run_single" else 1)
+        assert calls == [kernel]  # one call per chunk, whatever its kernel
 
 
 class TestStateCap:

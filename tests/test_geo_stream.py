@@ -13,10 +13,11 @@ stream change must be versioned in the run manifest; regenerate both files
 then with `PYTHONPATH=src python tests/test_geo_stream.py`.
 
 The property tests check the decode table against the increment laws, the
-multi-slot walk tables against the per-slot rule, and both kernels against
-the reference across block and sub-chunk edges. The scalar path draws
-SCALAR_BLOCK slots at a time, so its horizons and batch edges on both sides
-of that are checked against the reference directly, without a golden file.
+multi-slot walk tables against the per-slot rule, and every kernel against
+the reference across block and sub-chunk edges. `_run_single` draws
+SCALAR_BLOCK slots at a time for all its generators, so its horizons and
+batch edges on both sides of that are checked against the reference
+directly, without a golden file.
 """
 import json
 from functools import cache
@@ -172,9 +173,39 @@ def test_scalar_path_matches_exact_recursion(p, r, c, n, cuts, seed):
     edges = sorted([0, n, *(round(x * n) for x in cuts)])  # repeats make empty batches
     params = validate_geo_params(p, r, c)
     gen = np.random.Generator(np.random.PCG64(seed))
-    got = geo_sim._run_single(geo_sim._scalar_tables(params), gen, edges)
+    (peak,), (sums,) = geo_sim._run_single(params, [gen], edges)
     want = geo_max_by_recursion(p, r, c, n, np.random.Generator(np.random.PCG64(seed)), edges)
-    assert got == want
+    assert (peak, sums) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
+       reps=st.integers(4, 7), chunk=st.integers(1, 3),
+       n=st.sampled_from([1, BLOCK + 1, SCALAR_BLOCK, SCALAR_BLOCK + 1])
+       | st.integers(SCALAR_BLOCK + 2, 2 * SCALAR_BLOCK + 6),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=3),
+       whole=st.lists(st.integers(0, SCALAR_BLOCK), max_size=3), master=st.integers(0, 2**63 - 1))
+# a horizon past two draws, alone and with an edge one slot into the second draw and one on
+# the last group boundary of the first (L = 3 at c = 3)
+@example(p=1 / 3, r=1 / 6, c=3, reps=5, chunk=2, n=2 * SCALAR_BLOCK + 5, cuts=[],
+         whole=[], master=1)
+@example(p=1 / 3, r=1 / 6, c=3, reps=5, chunk=2, n=2 * SCALAR_BLOCK + 5,
+         cuts=[(SCALAR_BLOCK + 1) / (2 * SCALAR_BLOCK + 5)], whole=[SCALAR_BLOCK // 3],
+         master=2)
+def test_chunk_walk_matches_exact_recursion_per_generator(p, r, c, reps, chunk, n, cuts, whole,
+                                                          master):
+    # rows decoded in sub-chunks of DRAW_CHUNK < reps; edges anywhere, or on a group boundary
+    assume(p < c * r)
+    params = validate_geo_params(p, r, c)
+    group = len(geo_sim._walk_tables(c, geo_sim._decode_table(params)[1])) - 1
+    edges = sorted([0, n, *(round(x * n) for x in cuts), *(min(k * group, n) for k in whole)])
+    gens = [substream_generator(master, i) for i in range(reps)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geo_sim, "DRAW_CHUNK", chunk)
+        peaks, sums = geo_sim._run_single(params, gens, edges)
+    want = [geo_max_by_recursion(p, r, c, n, substream_generator(master, i), edges)
+            for i in range(reps)]
+    assert list(zip(peaks, sums)) == want
 
 
 EDGE_RATES = [1e-9, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-9]
@@ -215,6 +246,31 @@ def test_decode_table_reproduces_each_law(params):
 
 
 INT8_MAX, INT16_MAX = np.iinfo(np.int8).max, np.iinfo(np.int16).max
+
+
+class _Uniforms:
+    """A stub generator that hands out the given uniforms, in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, out):
+        out[:] = self.values[:len(out)]
+        del self.values[:len(out)]
+
+
+@pytest.mark.parametrize("c", list(PARAMS))
+def test_buckets_at_and_just_below_every_cut(c):
+    cuts, table = geo_sim._decode_table(PARAMS[c])
+    top = np.nextafter(1.0, 0.0)  # the largest uniform a generator can give
+    uniforms = [*cuts, *np.nextafter(cuts, 0.0), top]
+    [(_, _, buckets)] = geo_sim._draw_buckets([_Uniforms(uniforms), _Uniforms(uniforms[::-1])],
+                                              len(uniforms), cuts, BLOCK)
+    assert buckets.tolist() == [[int(np.sum(u >= cuts)) for u in values]
+                                for values in (uniforms, uniforms[::-1])]
+    # the last cut and every uniform above it fall in the table's top row
+    assert top >= cuts[-1]
+    assert buckets[0, len(cuts) - 1] == buckets[0, -1] == len(table) - 1
 
 
 def test_bucket_count_fits_int8():
