@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
 import time
 import warnings
@@ -66,7 +65,7 @@ def parse_number(text: str) -> float:
 def parse_seed(text: str) -> int:
     """An integer master seed in [0, 2^64), or 'random' for one drawn from entropy."""
     if text == "random":
-        return secrets.randbits(63)
+        return int.from_bytes(os.urandom(8), "big") >> 1  # 63 random bits
     try:
         seed = int(text, 0)
         check_campaign(seed)
@@ -372,7 +371,7 @@ _BUILDERS = {
 
 def _atomic_write(path: Path, text: str) -> None:
     """Write via a temp file unique to this call, so concurrent runs never share one."""
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)

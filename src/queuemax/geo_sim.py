@@ -17,25 +17,29 @@ into the interval the coupling allows, which moves it by at most a few ulps.
 One decoder, `_draw_buckets`, reads that stream for every path. The partial
 sums of all c+1 laws, pooled and sorted into cuts t_1 < ... < t_m, split
 [0, 1) into buckets. U falls in bucket b = sum_i [U >= t_i], and one
-(m+1) x (c+1) int8 table, `_decode_table`, maps b to inc[0..c]. Over one
-block of slots at a time, a chunk of DRAW_CHUNK generators each fill one
-reused row of uniforms, and the chunk is bucketed at once. Scratch is sized
-to the block and the chunk, never to the horizon. PCG64 hands out its
-doubles in the same order however the draws are split, so BLOCK and the
-chunks leave every sample unchanged: a run is fixed by its seeds alone.
+(m+1) x (c+1) int8 table, `_decode_table`, maps b to inc[0..c]. A horizon
+is split into the fewest blocks of at most BLOCK slots, equal to within one
+slot (`_blocks`): 2500 slots take 3 blocks of 833-834, so each generator pays
+3 fill calls, each with a fixed cost of about 1 us, instead of 5. Over one
+block at a time, a chunk of DRAW_CHUNK generators each fill one reused row of
+uniforms, and the chunk is bucketed at once. Scratch is sized to the longest
+block and the chunk, never to the horizon. PCG64 hands out its doubles in
+the same order however the draws are split, so BLOCK and the chunks leave
+every sample unchanged: a run is fixed by its seeds alone.
 
 - `_walk_tables` serves both kernels. A slot adds inc[min(u, c)], a pure
   shift once u >= c, so over L slots every start u >= cL moves alike. For
   every start min(u, cL) and combination of L buckets (one int16 index, from
   `_group_indices`), the tables give the change in u, the highest u reached
   and the sum of u; the last (slots mod L) slots take a shorter walk's.
-- `_run_single` takes single runs, time averages and narrow chunks. Each
-  draw of up to 4,096 slots is bucketed and grouped for all its generators
-  at once. Per generator, one list comprehension advances u over the
+- `_run_single` takes single runs, time averages and narrow chunks. It
+  splits each batch like a horizon, into draws of at most SCALAR_BLOCKS *
+  BLOCK = 4,096 slots, and buckets and groups each draw for all its
+  generators at once. Per generator, one list comprehension advances u over the
   draw's whole groups and records u; numpy takes at those start states
   then give the peak, max(u + top), and the area, L sum(u) + sum(area); the
   last (slots mod L) slots are stepped in Python. Its scratch is one row of
-  4,096 doubles per generator, and it builds its tables (0.3 ms at c = 3)
+  at most 4,096 doubles per generator, and it builds its tables (0.3 ms at c = 3)
   once per call. At c = 3, 16 generators x 5*10^4 slots spent about 14% of the call
   decoding, 61% walking and 25% in the numpy takes (2-vCPU Xeon).
 - `_run_many` takes the replications of `replicate_max_length`, one kernel
@@ -43,21 +47,22 @@ chunks leave every sample unchanged: a run is fixed by its seeds alone.
   per step, with two gathers, but pays seven numpy calls per step at any
   width. A narrow c >= 2 chunk (at most SCALAR_REPS = 28 generators) goes
   through one `_run_single` call instead. Scalar / gather, each building its
-  own tables, read at c = 3 (p = 1/3, r = 1/6) 0.34 at 8 reps, 0.55 at 16,
-  0.77 at 24, 0.85 at 28, 0.97 at 32, 1.14 at 40 and 1.38 at 48 over
-  5*10^4 slots, and 0.63 and 1.23 at 16 and 40 over 2500; at c = 2
-  (p = 0.3, r = 0.25) 0.71, 1.06 and 1.16 at 16, 32 and 40 over 5*10^4
-  slots, and 0.62, 1.00 and 1.14 over 2500 (medians of 7, 2-vCPU Xeon).
-  Three rounds at 24, 28 and 32 read 0.68-0.86, 0.83-1.02 and 0.92-1.33
-  over both horizons and both c.
+  own tables, read at c = 3 (p = 1/3, r = 1/6) 0.57, 0.75, 0.82, 0.93 and
+  1.14 at 16, 24, 28, 32 and 40 reps over 5*10^4 slots, and 0.63, 0.85, 0.94,
+  1.05 and 1.23 over 2500; at c = 2 (p = 0.3, r = 0.25) 0.53, 0.76, 0.88,
+  1.04 and 1.29 over 5*10^4 slots (medians of 7, 2-vCPU Xeon, BLOCK = 1024).
+  Two more rounds over 2500 slots, medians of 11, read 0.79-0.94 at 24 and
+  28 reps and 0.98-1.00 at 32, at both c.
   A narrow c = 1 chunk (fewer than 2 * DRAW_CHUNK generators) needs
   no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t, a_t)
   (Lindley 1952), so with S = cumsum(inc[1]) over a block,
   u = S + max(u_0, maximum.accumulate(a - S)); u is carried across blocks.
   Its ten or so elementwise passes per slot-replication lose to the gather
-  from about 128 replications on, where the gather's per-step numpy calls are
-  spread over enough of them: gather / Lindley read 3.01 at 16 reps, 0.93 at
-  128 and 0.68 at 2048 (2500 slots, p = 1/3, r = 1/2; 2-vCPU Xeon).
+  from about 140 replications on, where the gather's per-step numpy calls are
+  spread over enough of them: gather / Lindley read 3.54 at 16 reps, 1.24-1.27
+  at 64, 1.02-1.03 at 128, 0.97-0.98 at 144, 0.67-0.81 at 256 and 0.61 at
+  2048 (2500 slots, p = 1/3, r = 1/2; 2-vCPU Xeon, BLOCK = 1024). That is
+  within 3% at the cut of 128.
 
 All paths give identical maxima for a seed; `tests/test_geo_stream.py` pins
 them to recorded samples and to a plain per-slot reference.
@@ -74,10 +79,10 @@ from .params import GeoParams, increment_distribution
 from .replication import (SimResult, check_campaign, make_sim_result, substream_generators,
                           substream_seed)
 
-BLOCK = 512        # slots per generator call (performance only: the stream does not depend on it)
+BLOCK = 1024       # most slots per generator call (performance only: the stream does not depend on it)
 REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
 DRAW_CHUNK = 64    # replications drawn and bucketed together (performance only)
-SCALAR_BLOCKS = 8  # BLOCKs per draw in _run_single (performance only)
+SCALAR_BLOCKS = 4  # BLOCKs per draw in _run_single (performance only)
 SCALAR_REPS = 28   # widest c >= 2 chunk walked by _run_single (performance only)
 STATE_CAP = 2**30  # tripwire: maxima are O(ln n), so this can only mean a bug
 INCREMENT_METHOD = "one uniform per slot, inverse CDF from +1 down"  # recorded in manifests
@@ -123,23 +128,35 @@ def _decode_table(params: GeoParams):
     return np.array(cuts), np.array(table, dtype=np.int8)  # m <= 10 at c <= 3: int8 is ample
 
 
+def _blocks(n: int, block: int) -> list[int]:
+    """Lengths of the fewest blocks of at most `block` slots that cover n, longest first.
+
+    They differ by at most one slot; n = 0 takes no block.
+    """
+    parts = -(-n // block)
+    base, extra = divmod(n, parts) if parts else (0, 0)
+    return [base + 1] * extra + [base] * (parts - extra)
+
+
 def _draw_buckets(gens, n: int, cuts, block: int):
-    """Each block of up to `block` slots, DRAW_CHUNK generators at a time, bucketed.
+    """Each of `_blocks(n, block)`, DRAW_CHUNK generators at a time, bucketed.
 
     Yields (lo, hi, buckets) with buckets[j - lo, t] = sum_i [U >= cuts[i]] as
     int8 for the uniform U of gens[j] at slot t of the block. A yielded array
     is valid until the next one.
     """
-    count = len(gens)
-    shape = (min(DRAW_CHUNK, count), min(block, n))
-    uniforms = np.empty(shape)
-    above = np.empty(shape, dtype=np.bool_)
-    buckets = np.empty(shape, dtype=np.int8)
-    for done in range(0, n, block):
-        steps = min(block, n - done)
+    count, blocks = len(gens), _blocks(n, block)
+    size = min(DRAW_CHUNK, count) * max(blocks, default=0)
+    uniforms = np.empty(size)
+    above = np.empty(size, dtype=np.bool_)
+    buckets = np.empty(size, dtype=np.int8)
+    for steps in blocks:
         for lo in range(0, count, DRAW_CHUNK):
             hi = min(lo + DRAW_CHUNK, count)
-            draws, hits, out = (a[:hi - lo, :steps] for a in (uniforms, above, buckets))
+            # contiguous views: sliced from 2-D scratch, a block one slot shorter than
+            # the longest leaves a gap after each row, and the passes below run 3x slower
+            draws, hits, out = (a[:(hi - lo) * steps].reshape(hi - lo, steps)
+                                for a in (uniforms, above, buckets))
             for gen, row in zip(gens[lo:hi], draws):
                 gen.random(out=row)
             out.fill(0)
@@ -215,20 +232,20 @@ def _lindley_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
     cuts, table = _decode_table(params)
     arrival, step = table[:, 0].copy(), table[:, 1].copy()
     count = len(gens)
-    shape = (min(DRAW_CHUNK, count), min(BLOCK, n))
-    index = np.empty(shape, dtype=np.intp)
-    inc = np.empty(shape, dtype=np.int8)
-    level = np.empty(shape, dtype=np.int32)
-    path = np.empty(shape, dtype=np.int32)
+    size = min(DRAW_CHUNK, count) * _blocks(n, BLOCK)[0]
+    index = np.empty(size, dtype=np.intp)
+    inc = np.empty(size, dtype=np.int8)
+    level = np.empty(size, dtype=np.int32)
+    path = np.empty(size, dtype=np.int32)
     u = np.zeros(count, dtype=np.int32)
     peak = np.zeros(count, dtype=np.int32)
     for lo, hi, buckets in _draw_buckets(gens, n, cuts, BLOCK):
-        m, span = buckets.shape
-        b, out = index[:m, :span], inc[:m, :span]
+        # contiguous views, as in _draw_buckets
+        b, out, total, queue = (a[:buckets.size].reshape(buckets.shape)
+                                for a in (index, inc, level, path))
         np.copyto(b, buckets)
-        total = np.cumsum(step.take(b, out=out, mode="clip"), axis=1, dtype=np.int32,
-                          out=level[:m, :span])
-        queue = np.subtract(arrival.take(b, out=out, mode="clip"), total, out=path[:m, :span])
+        np.cumsum(step.take(b, out=out, mode="clip"), axis=1, dtype=np.int32, out=total)
+        np.subtract(arrival.take(b, out=out, mode="clip"), total, out=queue)
         np.maximum.accumulate(queue, axis=1, out=queue)
         np.maximum(queue, u[lo:hi, None], out=queue)
         queue += total
@@ -288,7 +305,7 @@ def _gather_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
     walks = [walk[:2].astype(np.intp) for walk in _walk_tables(c, table)]  # delta, top
     group, cap = len(walks) - 1, c * (len(walks) - 1)
     count = len(gens)
-    grouped = np.empty((min(BLOCK, n) // group + 1, count), dtype=np.int16)
+    grouped = np.empty((_blocks(n, BLOCK)[0] // group + 1, count), dtype=np.int16)
     caps = np.full(count, cap, dtype=np.intp)
     u, peak, index, step, high = np.zeros((5, count), dtype=np.intp)
     for lo, hi, buckets in _draw_buckets(gens, n, cuts, BLOCK):
@@ -340,7 +357,7 @@ def replicate_max_length(config: GeoSimConfig) -> SimResult:
     are derived per replication index, and REP_CHUNK, which bounds the
     generators alive at once, has no effect on the result.
     """
-    seeds = [substream_seed(config.seed, i) for i in range(config.reps)]
+    seeds = substream_seed(config.seed, np.arange(config.reps))
     samples = np.empty(config.reps, dtype=np.int64)
     for lo in range(0, config.reps, REP_CHUNK):
         gens = list(substream_generators(seeds[lo:lo + REP_CHUNK]))

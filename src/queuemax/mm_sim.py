@@ -125,7 +125,7 @@ def replicate_wait_maxima(config: MMSimConfig) -> WaitSimResult:
     an empty run keeps its row of zeros and a customer count of 0.
     """
     reps = config.reps
-    seeds = [substream_seed(config.seed, i) for i in range(reps)]
+    seeds = substream_seed(config.seed, np.arange(reps))
     table = np.zeros((reps, 4))
     counts = np.zeros(reps, dtype=np.int64)
     for i, gen in enumerate(substream_generators(seeds)):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import BracketError, ConvergenceError, RangeError, SingularError
 
@@ -47,7 +46,7 @@ def polynomial_roots(coefficients) -> np.ndarray:
 
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]
-    residuals = np.abs(polyval(roots, coeffs))
+    residuals = np.abs(np.polyval(coeffs[::-1], roots))
     # For |z| >> 1 the evaluation of P(z) itself carries rounding noise of
     # order eps * sum |a_i z^i|, so the certificate is normalized by that
     # scale; for |z| <= 1 it reduces to the flat 1e-10 * max|coeff| bound.

@@ -5,15 +5,18 @@ run is fully determined by its master seed, an integer in [0, 2^64), and
 replication results do not depend on scheduling or chunking. The generator
 name and derivation rule are recorded in run manifests.
 
-`substream_generators` runs numpy's SeedSequence hash (a pool of 4 words,
-`hashmix` and `mix` with numpy's constants) over all seeds at once as uint32
-array arithmetic, so its generators are bit-identical to
+A campaign is seeded in one pass. `substream_seed` takes an array of
+replication indices and runs SplitMix64 over all of them in wrapping uint64
+arithmetic. `substream_generators` then runs numpy's SeedSequence hash (a
+pool of 4 words, `hashmix` and `mix` with numpy's constants) over all seeds
+at once as uint32 array arithmetic, so its generators are bit-identical to
 PCG64(splitmix64(master, i)) without one SeedSequence object each.
 `substream_generator` keeps numpy's own SeedSequence as the reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -28,18 +31,27 @@ _MASK64, _MASK32 = (1 << 64) - 1, 0xFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
-def substream_seed(master_seed: int, index: int) -> int:
+def substream_seed(master_seed: int, index):
     """64-bit seed for replication `index`, via the SplitMix64 output function.
 
     splitmix64 state k is master + (index+1)*gamma mod 2^64; the finalizer is
-    the published xor-shift/multiply chain. Order-free by construction.
+    the published xor-shift/multiply chain. Order-free by construction. An
+    array of indices gives a uint64 array of seeds, a scalar index an int.
     """
-    if index < 0:
-        raise ValueError(f"replication index must be nonnegative, got {index}")
-    z = (int(master_seed) + (index + 1) * _SPLITMIX_GAMMA) & _MASK64  # numpy ints would overflow
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    indices = np.asarray(index)
+    if np.any(indices < 0):
+        raise ValueError(f"replication index must be nonnegative, got {indices.min()}")
+    # in place on a 1-d array: numpy wraps uint64 arrays silently but warns on scalars
+    z = np.array(indices, dtype=np.uint64, ndmin=1)
+    z += np.uint64(1)
+    z *= np.uint64(_SPLITMIX_GAMMA)
+    z += np.uint64(int(master_seed) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return int(z[0]) if indices.ndim == 0 else z.reshape(indices.shape)
 
 
 def substream_generator(master_seed: int, index: int) -> np.random.Generator:
@@ -92,23 +104,29 @@ def seed_sequence_words(seeds) -> np.ndarray:
     return words.astype("<u4").view("<u8").astype(np.uint64)  # numpy's word order
 
 
-class _HashedSeed:
-    """Stands in for SeedSequence(s) in PCG64(s), whose one request is 4 uint64 words."""
+@cache
+def _hashed_seed_type():
+    """The stand-in for SeedSequence(s) in PCG64(s), whose one request is 4 uint64 words.
 
-    def __init__(self, words):
-        self._words = words
+    Built on first use, not at import: loading numpy.random costs every CLI
+    launch about 14 ms. A true subclass of ISeedSequence passes PCG64's
+    isinstance check faster than a registered one.
+    """
+    class HashedSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self._words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"only (4, uint64) is precomputed, got ({n_words}, {dtype})")
-        return self._words
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"only (4, uint64) is precomputed, got ({n_words}, {dtype})")
+            return self._words
+    return HashedSeed
 
 
 def substream_generators(seeds):
     """Lazily, np.random.Generator(np.random.PCG64(s)) for each s in seeds, from one batched hash."""
-    # registered here, not at import: loading numpy.random costs every CLI launch about 14 ms
-    np.random.bit_generator.ISeedSequence.register(_HashedSeed)
-    return (np.random.Generator(np.random.PCG64(_HashedSeed(words)))
+    hashed_seed = _hashed_seed_type()
+    return (np.random.Generator(np.random.PCG64(hashed_seed(words)))
             for words in seed_sequence_words(seeds))
 
 

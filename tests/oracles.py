@@ -8,7 +8,8 @@ heavy traffic and for the boundary law, scan+bisection for real polynomial
 roots, and for the continuous queue a truncated birth-death chain plus
 Little's law and a per-server scan for FIFO service starts. The `geo`
 stream's reference walks each slot's cumulative increment law in plain
-Python, without the simulator's decode table.
+Python, without the simulator's decode table, and replication seeds come
+from SplitMix64 in Python integers instead of wrapping uint64 arrays.
 """
 from __future__ import annotations
 
@@ -221,6 +222,15 @@ def service_starts_by_server_scan(arrivals, services, c: int) -> np.ndarray:
         starts[i] = start
         free[j] = start + service
     return starts
+
+
+def splitmix64(master: int, index: int) -> int:
+    """Seed of replication `index`: the SplitMix64 output at state master+(index+1)*gamma."""
+    mask = (1 << 64) - 1
+    z = (master + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
 
 def geo_max_by_recursion(p: float, r: float, c: int, n: int, gen: np.random.Generator,

@@ -502,13 +502,37 @@ class TestCompare:
         assert report["empirical"]["se"] is None
 
 
-def _cli_process(*argv):
-    """`python -m queuemax.cli ARGV` in a fresh interpreter, with this checkout's package."""
+def _python(*args):
+    """`python ARGS` in a fresh interpreter, with this checkout's package."""
     src = str(Path(queuemax.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "queuemax.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def _cli_process(*argv):
+    """`python -m queuemax.cli ARGV` in a fresh interpreter, with this checkout's package."""
+    return _python("-m", "queuemax.cli", *argv)
+
+
+# each costs every CLI launch time that only some commands need: numpy.random is loaded
+# once a simulation builds its first generator, numpy.polynomial and secrets not at all
+DEFERRED_MODULES = ("numpy.random", "numpy.polynomial", "secrets")
+START_UP = f"""
+import json, sys
+import numpy  # numpy 1.x loads numpy.random itself; only what queuemax adds counts
+before = set(sys.modules)
+import queuemax.cli
+queuemax.cli.build_parser()
+print(json.dumps([m for m in {DEFERRED_MODULES!r} if m in sys.modules and m not in before]))
+"""
+
+
+def test_start_up_defers_unneeded_modules():
+    run = _python("-c", START_UP)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == []
 
 
 class TestExitCodes:

@@ -62,9 +62,10 @@ class TestDeterminism:
         assert vector.tolist() == scalar
 
     def test_schedule_independence(self, monkeypatch):
-        # blocks end on every shorter walk k < L: at c = 3 (800 slots) k = 1 with
-        # blocks of 1 and 7, k = 2 with 7, 333 and 4096; at c = 2 (802 slots) k = 1
-        # with 1 and 333, k = 3 with 7, k = 2 with 4096. Chunks of 7 replications
+        # gathered blocks end on every shorter walk k < L: at c = 3 (800 slots) k = 1
+        # with blocks of 1 and 7 (6-7 slots), k = 2 with 333 (266-267) and 4096; at c = 2
+        # (802 slots) k = 1 with 1, k = 2 with 7 and 4096, k = 3 with 7 and 333
+        # (267-268). Chunks of 7 replications
         # walk together at c >= 2; of chunks of SCALAR_REPS + 1 (29 and 21) the first gathers.
         for params, n in ((REFERENCE, 800), (FAST_SINGLE, 800), (TWO_SERVERS, 802)):
             config = GeoSimConfig(params, n, 50, seed=5)

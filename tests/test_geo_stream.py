@@ -46,9 +46,11 @@ PARAMS = {1: validate_geo_params(1 / 3, 1 / 2, 1),
 HORIZONS = (1, 1500, 2500)
 REP_COUNTS = (1, 65, 130)
 BLOCK, CHUNK, SCALAR_REPS = geo_sim.BLOCK, geo_sim.DRAW_CHUNK, geo_sim.SCALAR_REPS
-# (n, batches): batch edges at, just past and across the block edges of BLOCK = 512
-TIME_AVERAGES = ((100, 100), (513, 2), (1000, 7), (1537, 3), (2048, 4), (5000, 9))
-MAXIMA_HORIZONS = (1, 511, 512, 513, 1537, 3000)
+# (n, batches): batch edges at, just past and across the edges of blocks of 512 slots, and
+# horizons one slot either side of BLOCK and one past 2 * BLOCK, where the block count steps
+TIME_AVERAGES = ((100, 100), (513, 2), (1000, 7), (1537, 3), (2048, 4), (5000, 9),
+                 (BLOCK - 1, 3), (BLOCK + 1, 2), (2 * BLOCK + 1, 3))
+MAXIMA_HORIZONS = (1, 511, 512, 513, 1537, 3000, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1)
 # horizons and batches of SCALAR_BLOCK + j slots: the scalar path's last draw of
 # j = 1..5 slots ends on a short walk of every k < L (L <= 6 here)
 SCALAR_BLOCK = geo_sim.SCALAR_BLOCKS * BLOCK
@@ -271,6 +273,20 @@ def test_buckets_at_and_just_below_every_cut(c):
     # the last cut and every uniform above it fall in the table's top row
     assert top >= cuts[-1]
     assert buckets[0, len(cuts) - 1] == buckets[0, -1] == len(table) - 1
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK, BLOCK + 1, 2500, 3 * BLOCK + 1])
+def test_blocks_are_fewest_and_equal_to_within_one_slot(n):
+    uniforms = np.linspace(0.0, 1.0, n, endpoint=False)
+    cuts = geo_sim._decode_table(PARAMS[2])[0]
+    spans, drawn = [], []
+    for _, _, buckets in geo_sim._draw_buckets([_Uniforms(uniforms)], n, cuts, BLOCK):
+        spans.append(buckets.shape[1])
+        drawn += buckets[0].tolist()
+    assert sum(spans) == n and len(spans) == -(-n // BLOCK)
+    assert all(span <= BLOCK for span in spans)
+    assert max(spans, default=0) - min(spans, default=0) <= 1
+    assert drawn == [int(np.sum(u >= cuts)) for u in uniforms]  # every slot once, in order
 
 
 def test_bucket_count_fits_int8():

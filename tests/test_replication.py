@@ -1,13 +1,17 @@
 """Replication generators: the batched SeedSequence hash and the master-seed range.
 
+`substream_seed` runs SplitMix64 over an array of indices in uint64 numpy
+arithmetic; `oracles.splitmix64`, in Python integers, is its reference.
 `substream_generators` re-implements numpy's SeedSequence hash over a whole
 batch of seeds; numpy's own `SeedSequence` and `PCG64(seed)` are the
 references here, and `substream_generator` is the per-replication one. The
-module turns RuntimeWarnings into errors, so a scalar uint32 overflow in the
-hash (which numpy only warns about) fails it. Other warnings stay warnings:
+module turns RuntimeWarnings into errors, so a scalar uint32 or uint64
+overflow in either (which numpy only warns about) fails it. Other warnings stay warnings:
 hypothesis imports libcst to report a failing example, and libcst's import
 warns, which would abort the session instead of reporting the failure.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +21,9 @@ from queuemax import (GeoSimConfig, MMSimConfig, RangeError, replicate_max_lengt
                       replicate_wait_maxima, simulate_max_length, simulate_wait_detail,
                       substream_generator, substream_seed, time_average_queue_length,
                       validate_geo_params, validate_mm_params)
-from queuemax.replication import _HashedSeed, seed_sequence_words, substream_generators
+from queuemax.replication import _hashed_seed_type, seed_sequence_words, substream_generators
+
+from oracles import splitmix64
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -79,7 +85,8 @@ def test_campaign_generators_equal_substream_generator():
                                       (8, np.uint64), (4, np.int64)])
 def test_stand_in_answers_only_pcg64s_request(request_):
     words = seed_sequence_words([7])[0]
-    stand_in = _HashedSeed(words)
+    stand_in = _hashed_seed_type()(words)
+    assert np.random.bit_generator.ISeedSequence in type(stand_in).__mro__  # not registered
     with pytest.raises(ValueError):
         stand_in.generate_state(*request_)
     np.testing.assert_array_equal(stand_in.generate_state(4, np.uint64),
@@ -89,6 +96,38 @@ def test_stand_in_answers_only_pcg64s_request(request_):
 def test_substream_seed_refuses_a_negative_index():
     with pytest.raises(ValueError, match="replication index must be nonnegative"):
         substream_seed(7, -1)
+    with pytest.raises(ValueError, match="replication index must be nonnegative, got -2"):
+        substream_seed(7, np.array([0, 3, -2, 5]))
+
+
+# a small arange, both sides of 2^32, and the top of the int64 range
+INDICES = np.concatenate([np.arange(70), 2**32 - 2 + np.arange(4), [2**40 + 3, 2**63 - 1]])
+
+
+@pytest.mark.parametrize("master", [0, 2**64 - 1, 0x9C5A3F0B71D2E846])
+def test_seeds_of_an_index_array_equal_splitmix64(master):
+    got = substream_seed(master, INDICES)
+    assert got.dtype == np.uint64 and got.shape == INDICES.shape
+    assert got.tolist() == [splitmix64(master, int(i)) for i in INDICES]
+    for index in (0, 69, 2**32, 2**63 - 1, np.int64(2**32 + 1)):
+        seed = substream_seed(master, index)
+        assert type(seed) is int and seed == splitmix64(master, int(index))
+
+
+@given(master=SEEDS, indices=st.lists(st.integers(0, 2**63 - 1), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_seeds_equal_splitmix64_anywhere(master, indices):
+    got = substream_seed(master, np.array(indices, dtype=np.int64))
+    assert got.tolist() == [splitmix64(master, i) for i in indices]
+
+
+def test_seeds_wrap_without_a_runtime_warning():
+    # numpy warns on uint64 scalar overflow, though not on arrays; every step here wraps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert substream_seed(2**64 - 1, 2**63 - 1) == splitmix64(2**64 - 1, 2**63 - 1)
+        assert substream_seed(2**64 - 1, np.arange(3)).tolist() == [
+            splitmix64(2**64 - 1, i) for i in range(3)]
 
 
 @pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**65 - 5])
