@@ -304,12 +304,17 @@ def _gather_maxima(params: GeoParams, n: int, gens) -> np.ndarray:
     cuts, table = _decode_table(params)
     walks = [walk[:2].astype(np.intp) for walk in _walk_tables(c, table)]  # delta, top
     group, cap = len(walks) - 1, c * (len(walks) - 1)
-    count = len(gens)
-    grouped = np.empty((_blocks(n, BLOCK)[0] // group + 1, count), dtype=np.int16)
+    count, size = len(gens), _blocks(n, BLOCK)[0] // group + 1
+    grouped = np.empty((size, count), dtype=np.int16)
+    scratch = np.empty(size * min(DRAW_CHUNK, count), dtype=np.int16)
     caps = np.full(count, cap, dtype=np.intp)
     u, peak, index, step, high = np.zeros((5, count), dtype=np.intp)
     for lo, hi, buckets in _draw_buckets(gens, n, cuts, BLOCK):
-        groups, rest = _group_indices(buckets, group, len(table), cap + 1, grouped[:, lo:hi])
+        # Horner passes into grouped's strided columns ran 1.7x slower than into
+        # a contiguous chunk, which is then copied over in one call
+        chunk = scratch[:size * (hi - lo)].reshape(size, hi - lo)
+        groups, rest = _group_indices(buckets, group, len(table), cap + 1, chunk)
+        grouped[:groups + 1, lo:hi] = chunk[:groups + 1]
         if hi < count:
             continue
         for k, rows in ((group, grouped[:groups]), (rest, grouped[groups:groups + (rest > 0)])):

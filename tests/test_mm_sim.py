@@ -51,11 +51,100 @@ class TestAssignment:
                st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=80),
                st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), max_size=80)))
     @example(c=3, pairs=[])
-    def test_heap_matches_server_scan(self, c, pairs):
+    @example(c=1, pairs=[])
+    def test_fold_and_heap_match_server_scan(self, c, pairs):
         table = np.array(pairs, dtype=np.float64).reshape(-1, 2)
         arrivals, services = np.cumsum(table[:, 0]), table[:, 1]
         starts = assign_service_starts(arrivals, services, c)
         assert np.array_equal(starts, service_starts_by_server_scan(arrivals, services, c))
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 7])
+    def test_kernel_by_server_count(self, c, monkeypatch):
+        taken = []
+
+        def spy(name, kernel):
+            def recorded(*args):
+                taken.append(name)
+                return kernel(*args)
+            return recorded
+
+        for name in ("_fold_starts", "_heap_starts"):
+            monkeypatch.setattr(mm_sim, name, spy(name, getattr(mm_sim, name)))
+        detail = simulate_wait_detail(validate_mm_params(1 / 3, 1.0 / c, c), 300.0, seed=c)
+        assert taken == ["_fold_starts" if c == 1 else "_heap_starts"]
+        assert detail.starts.size > 0
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# services from every scale the float64 range offers, plus zero and inf
+SERVICE = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e12, inf]),
+                    st.floats(1e-300, 1e12))
+# an arrival at the previous end, or ulps from it, or a gap of any scale after it
+OFFSET = st.one_of(st.integers(-3, 3), st.floats(-1e12, 1e12))
+
+
+def _near_tie_customers(plan):
+    """Arrivals placed against the running end f_{i-1}: int k is k ulps off, a float a gap."""
+    end, arrivals, services = 0.0, [], []
+    for offset, service in plan:
+        if isinstance(offset, int):
+            arrival = end
+            for _ in range(abs(offset)):
+                arrival = float(np.nextafter(arrival, inf if offset > 0 else -inf))
+        else:
+            arrival = end + offset
+        arrivals.append(arrival)
+        services.append(service)
+        end = (arrival if arrival > end else end) + service
+    return np.array(arrivals, dtype=np.float64), np.array(services, dtype=np.float64)
+
+
+class TestSingleServerFold:
+    """The c = 1 kernel folds busy periods in numpy; every start must carry the loop's bits.
+
+    The per-server scan of `oracles` at c = 1 is that loop.
+    """
+
+    def test_edge_inputs(self):
+        # the loop selects a start with `arrival > end`: a -0.0 or nan arrival starts at the end
+        for arrivals, services in (([], []), ([0.0], [2.0]), ([3.5], [0.0]), ([1e-300], [inf]),
+                                   ([-0.0, -0.0], [0.0, 1.0]), ([nan, 2.0, nan], [1.0, 1.0, 1.0])):
+            arrivals, services = np.array(arrivals, dtype=float), np.array(services, dtype=float)
+            starts = assign_service_starts(arrivals, services, 1)
+            assert _same_bits(starts, service_starts_by_server_scan(arrivals, services, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(plan=st.lists(st.tuples(OFFSET, SERVICE), max_size=60))
+    @example(plan=[(1, 1.0), (0, 2.0), (-1, 0.5), (1, 0.25), (1, inf), (2, 1.0)])
+    @example(plan=[(1e-300, 1e12), (1, 1e-300), (-1, 1e-300), (1, 1e12)])
+    def test_near_ties_and_extreme_scales(self, plan):
+        arrivals, services = _near_tie_customers(plan)
+        assert _same_bits(assign_service_starts(arrivals, services, 1),
+                          service_starts_by_server_scan(arrivals, services, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(plan=st.lists(st.tuples(OFFSET, SERVICE), min_size=1, max_size=60), data=st.data())
+    def test_settles_from_any_run_start_mask(self, plan, data):
+        arrivals, services = _near_tie_customers(plan)
+        expected = service_starts_by_server_scan(arrivals, services, 1)
+        size = arrivals.size
+        drawn = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        for heads in (np.ones(size, dtype=bool), np.arange(size) == 0, np.array(drawn)):
+            assert _same_bits(mm_sim._settle_starts(arrivals, services, heads), expected)
+
+    @pytest.mark.parametrize("rho", [0.02, 0.5, 0.9, 0.999])
+    def test_long_busy_periods_from_the_worst_masks(self, rho):
+        gen = np.random.Generator(np.random.PCG64(17))
+        count = 3000
+        arrivals = np.sort(gen.random(count) * count * 2.0 / rho)
+        services = -np.log1p(-gen.random(count)) * 2.0
+        expected = service_starts_by_server_scan(arrivals, services, 1)
+        assert _same_bits(assign_service_starts(arrivals, services, 1), expected)
+        for heads in (np.ones(count, dtype=bool), np.arange(count) == 0):
+            assert _same_bits(mm_sim._settle_starts(arrivals, services, heads), expected)
 
 
 class TestSingleRun:
