@@ -24,23 +24,49 @@ import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
+from importlib import import_module
 from math import ceil, inf, log
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import HeuristicRangeWarning, NumericError, QueueMaxError, RangeError
-from .geo_analysis import analyze_geo, expected_max_length, max_length_law
-# not called here; kept as cli.mean_queue_length, which the perfbench tracer wraps and probes call
-from .geo_analysis import mean_queue_length  # noqa: F401
-from .geo_sim import INCREMENT_METHOD, GeoSimConfig, replicate_max_length
-from .mm_analysis import (expected_max_wait_mm1, max_wait_cdf_mm1, mean_wait,
-                          mm1_asymptotics, validate_mm_params)
-from .mm_sim import EXPONENTIAL_METHOD, MMSimConfig, replicate_wait_maxima
-from .params import validate_geo_params
-from .replication import PRNG_ALGORITHM, SEED_DERIVATION, check_campaign
-from .stats import gumbel_fit_two_moment, ks_distance
+
+# The library names cli calls, by home module. None is imported here, as numpy
+# alone takes most of a launch: _bind makes them globals of this module on first
+# use, each builder binding the modules it calls, and callers look them up at call
+# time, so a name set from outside (a tracer's wrapper, a monkeypatch) is the one used.
+_HOMES = {
+    "numpy": ("np",),
+    # mean_queue_length is not called here: the perfbench tracer wraps and probes it
+    ".geo_analysis": ("analyze_geo", "expected_max_length", "max_length_law",
+                      "mean_queue_length"),
+    ".geo_sim": ("INCREMENT_METHOD", "GeoSimConfig", "replicate_max_length"),
+    ".mm_analysis": ("expected_max_wait_mm1", "max_wait_cdf_mm1", "mean_wait",
+                     "mm1_asymptotics", "validate_mm_params"),
+    ".mm_sim": ("EXPONENTIAL_METHOD", "MMSimConfig", "replicate_wait_maxima"),
+    ".params": ("validate_geo_params",),
+    ".replication": ("PRNG_ALGORITHM", "SEED_DERIVATION", "check_campaign"),
+    ".stats": ("gumbel_fit_two_moment", "ks_distance"),
+}
+_HOME = {name: home for home, names in _HOMES.items() for name in names}
+
+
+def _bind(*homes) -> None:
+    """Set each home module's names here, keeping any name already set."""
+    scope = globals()
+    for home in homes:
+        if not all(map(scope.__contains__, _HOMES[home])):
+            module = import_module(home, __package__)
+            for name in _HOMES[home]:
+                scope.setdefault(name, module if name == "np" else getattr(module, name))
+
+
+def __getattr__(name):  # a library name read from outside binds with its home module
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOME[name])
+    return globals()[name]
+
 
 DEFAULT_MASTER_SEED = 123456789  # fixed so default runs reproduce; --seed random opts out
 CDF_PROB_FLOOR = 1e-9
@@ -68,6 +94,7 @@ def parse_seed(text: str) -> int:
         return int.from_bytes(os.urandom(8), "big") >> 1  # 63 random bits
     try:
         seed = int(text, 0)
+        _bind(".replication")
         check_campaign(seed)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
@@ -75,12 +102,13 @@ def parse_seed(text: str) -> int:
     return seed
 
 
-TARGETS = {  # target: its model flags (flag, dest, help), what --n counts, how its stream draws
+TARGETS = {  # target: its model flags (flag, dest, help), what --n counts, and what its
+    # stream draws, named by the simulator constant that holds the draw method
     "geo": ([("--p", "p", "arrival probability per slot"),
              ("--r", "r", "per-server departure probability per slot")],
-            "time steps", {"increments": INCREMENT_METHOD}),
+            "time steps", ("increments", "INCREMENT_METHOD")),
     "mm": ([("--lambda", "lam", "arrival rate"), ("--mu", "mu", "per-server service rate")],
-           "interval length", {"exponentials": EXPONENTIAL_METHOD}),
+           "interval length", ("exponentials", "EXPONENTIAL_METHOD")),
 }
 
 
@@ -114,10 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _inputs(args):
     """Validated parameters and horizon: time steps (geo) or interval length (mm)."""
     if args.target == "geo":
+        _bind(".params")
         params = validate_geo_params(args.p, args.r, args.c)
         if not 1 <= args.n < inf or args.n != int(args.n):
             raise RangeError(f"--n must be a positive integer of time steps, got {args.n}")
         return params, int(args.n)
+    _bind(".mm_analysis")
     params = validate_mm_params(args.lam, args.mu, args.c)
     if not 0 < args.n < inf:
         raise RangeError(f"--n must be a positive, finite interval length, got {args.n}")
@@ -129,10 +159,13 @@ def _inputs(args):
 # One builder per (command, target): builder(params, n, reps, seed) returns
 # (report, samples pack, cdf pack), a pack being (header, rows) or None.
 # compare reuses simulate's replications and report header and analyze's
-# analytic helpers. Every cdf pack comes from _cdf_pack.
+# analytic helpers. Every cdf pack comes from _cdf_pack. Each builder first
+# binds the modules it calls.
 
 def _prng(target) -> dict:
-    return {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION, **TARGETS[target][2]}
+    draws, method = TARGETS[target][2]
+    _bind(".replication", _HOME[method])
+    return {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION, draws: globals()[method]}
 
 
 def _sim_report(target, params, n, reps, seed) -> dict:
@@ -175,6 +208,8 @@ def _geo_cdf_table(law):
     keeps every stride-th k from the low end, plus the high end, with the
     smallest stride that fits.
     """
+    _bind("numpy")
+
     def first_reaching(level, start):
         k = max(start, ceil((log(-log(level)) - log(law.beta * law.n)) / log(law.omega)))
         while k > start and law.cdf(k - 1) >= level:
@@ -190,6 +225,7 @@ def _geo_cdf_table(law):
 
 
 def _analyze_geo(params, n, *_):
+    _bind(".geo_analysis")
     analysis, law = _geo_law(params, n)
     report = {
         "target": "geo",
@@ -227,6 +263,7 @@ def _geo_replicate(params, n, reps, seed):
 
 
 def _simulate_geo(params, n, reps, seed):
+    _bind(".geo_sim")
     result, report, samples = _geo_replicate(params, n, reps, seed)
     report["max_length"] = {
         "mean": result.mean,
@@ -239,6 +276,7 @@ def _simulate_geo(params, n, reps, seed):
 
 
 def _compare_geo(params, n, reps, seed):
+    _bind(".geo_analysis", ".geo_sim", ".stats")
     analysis, law = _geo_law(params, n)
     expected_max = expected_max_length(analysis, n)  # rejects n < 2 before any replication
     result, report, samples = _geo_replicate(params, n, reps, seed)
@@ -279,6 +317,7 @@ def _mm1_cdfs(params, n) -> dict:
 
 
 def _analyze_mm(params, n, *_):
+    _bind("numpy", ".mm_analysis")
     report = {
         "target": "mm",
         "params": {"lambda": params.lam, "mu": params.mu, "c": params.c,
@@ -319,6 +358,7 @@ def _mm_replicate(params, n, reps, seed):
 
 
 def _simulate_mm(params, n, reps, seed):
+    _bind(".mm_sim")
     result, report, samples = _mm_replicate(params, n, reps, seed)
     report.update({
         "max_sys": {"mean": result.max_sys.mean, "se": _se(result.max_sys)},
@@ -332,6 +372,7 @@ def _simulate_mm(params, n, reps, seed):
 
 
 def _compare_mm(params, n, reps, seed):
+    _bind("numpy", ".mm_analysis", ".mm_sim", ".stats")
     result, report, samples = _mm_replicate(params, n, reps, seed)
     maxima = {"sys": result.max_sys, "que": result.max_que}
     fits = {label: _gumbel_fit(sim.samples) for label, sim in maxima.items()}

@@ -20,12 +20,12 @@ sums of all c+1 laws, pooled and sorted into cuts t_1 < ... < t_m, split
 (m+1) x (c+1) int8 table, `_decode_table`, maps b to inc[0..c]. A horizon
 is split into the fewest blocks of at most BLOCK slots, equal to within one
 slot (`_blocks`): 2500 slots take 3 blocks of 833-834, so each generator pays
-3 fill calls, each with a fixed cost of about 1 us, instead of 5. Over one
-block at a time, a chunk of DRAW_CHUNK generators each fill one reused row of
-uniforms, and the chunk is bucketed at once. Scratch is sized to the longest
-block and the chunk, never to the horizon. PCG64 hands out its doubles in
-the same order however the draws are split, so BLOCK and the chunks leave
-every sample unchanged: a run is fixed by its seeds alone.
+3 fill calls, each with a fixed cost, instead of 5. Over one block at a time,
+a chunk of DRAW_CHUNK generators each fill one reused row of uniforms, and
+the chunk is bucketed at once. Scratch is sized to the longest block and the
+chunk, never to the horizon. PCG64 hands out its doubles in the same order
+however the draws are split, so BLOCK and the chunks leave every sample
+unchanged: a run is fixed by its seeds alone.
 
 - `_walk_tables` serves both kernels. A slot adds inc[min(u, c)], a pure
   shift once u >= c, so over L slots every start u >= cL moves alike. For
@@ -39,30 +39,22 @@ every sample unchanged: a run is fixed by its seeds alone.
   draw's whole groups and records u; numpy takes at those start states
   then give the peak, max(u + top), and the area, L sum(u) + sum(area); the
   last (slots mod L) slots are stepped in Python. Its scratch is one row of
-  at most 4,096 doubles per generator, and it builds its tables (0.3 ms at c = 3)
-  once per call. At c = 3, 16 generators x 5*10^4 slots spent about 14% of the call
-  decoding, 61% walking and 25% in the numpy takes (2-vCPU Xeon).
+  at most 4,096 doubles per generator, and it builds its tables once per call.
 - `_run_many` takes the replications of `replicate_max_length`, one kernel
   per chunk by its width. `_gather_maxima` moves every replication L slots
   per step, with two gathers, but pays seven numpy calls per step at any
   width. A narrow c >= 2 chunk (at most SCALAR_REPS = 28 generators) goes
-  through one `_run_single` call instead. Scalar / gather, each building its
-  own tables, read at c = 3 (p = 1/3, r = 1/6) 0.57, 0.75, 0.82, 0.93 and
-  1.14 at 16, 24, 28, 32 and 40 reps over 5*10^4 slots, and 0.63, 0.85, 0.94,
-  1.05 and 1.23 over 2500; at c = 2 (p = 0.3, r = 0.25) 0.53, 0.76, 0.88,
-  1.04 and 1.29 over 5*10^4 slots (medians of 7, 2-vCPU Xeon, BLOCK = 1024).
-  Two more rounds over 2500 slots, medians of 11, read 0.79-0.94 at 24 and
-  28 reps and 0.98-1.00 at 32, at both c.
+  through one `_run_single` call instead: scalar / gather crosses 1 between
+  28 and 32 generators at c = 2 and 3, over 2500 and 5*10^4 slots.
   A narrow c = 1 chunk (fewer than 2 * DRAW_CHUNK generators) needs
   no time loop: the recursion reads u_t = max(u_{t-1} + a_t - d_t, a_t)
   (Lindley 1952), so with S = cumsum(inc[1]) over a block,
   u = S + max(u_0, maximum.accumulate(a - S)); u is carried across blocks.
   Its ten or so elementwise passes per slot-replication lose to the gather
   from about 140 replications on, where the gather's per-step numpy calls are
-  spread over enough of them: gather / Lindley read 3.54 at 16 reps, 1.24-1.27
-  at 64, 1.02-1.03 at 128, 0.97-0.98 at 144, 0.67-0.81 at 256 and 0.61 at
-  2048 (2500 slots, p = 1/3, r = 1/2; 2-vCPU Xeon, BLOCK = 1024). That is
-  within 3% at the cut of 128.
+  spread over enough of them; the cut is at 128 = 2 * DRAW_CHUNK.
+
+The measured ratios behind each cut are in CHANGES.md and the BENCH files.
 
 All paths give identical maxima for a seed; `tests/test_geo_stream.py` pins
 them to recorded samples and to a plain per-slot reference.

@@ -21,17 +21,12 @@ per-customer loop start_i = max(a_i, f_{i-1}), f_i = start_i + s_i:
   point. A fixed point satisfies the loop's recursion at every customer, so
   it is the loop's output. If a round's marks match the loop's heads before
   index k, its folded ends match the loop's before k, so the new marks
-  match up to k inclusive: the rounds end after at most n. No campaign at
-  loads 0.02, 0.67, 0.98 or 0.998 (500-2000 replications of 20000 time
-  units each) needed a second round. Each round costs O(log longest
-  period) numpy calls, as periods are binned by length into blocks at most
-  twice their size, and needs no memory beyond a few arrays of the run's
-  length.
-  Fold / heap time per replication over n = 20000 (lambda = rho/2, mu = 1/2;
-  medians of 5 runs, 2-vCPU Xeon): 2.3 at rho = 0.02 (about 200 customers,
-  35 us more), 0.33 at 0.67, 0.27 at 0.9, 0.28 at 0.98 and 0.24 at 0.998.
-  Single runs of 0.6, 1.5 and 3 million customers (rho = 0.9, 0.98, 0.998)
-  ran 2.9x, 4.9x and 4.3x faster than the heap.
+  match up to k inclusive: the rounds end after at most n, and rarely take
+  a second. Each round costs O(log longest period) numpy calls, as periods
+  are binned by length into blocks at most twice their size, and needs no
+  memory beyond a few arrays of the run's length. The fold loses to the heap
+  only on runs of a few hundred customers, by tens of microseconds, and wins
+  from moderate load on (ratios in CHANGES.md and BENCH_25.json).
 """
 from __future__ import annotations
 

@@ -535,6 +535,108 @@ def test_start_up_defers_unneeded_modules():
     assert json.loads(run.stdout) == []
 
 
+def _modules_after(code):
+    """The exit code of `python -c CODE` in a fresh interpreter, and the modules loaded at exit."""
+    run = _python("-c", "import atexit, json, sys\n"
+                  "atexit.register(lambda: print('\\n' + json.dumps(sorted(sys.modules))))\n"
+                  + code)
+    return run.returncode, set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def _cli_modules(*argv):
+    """`python -m queuemax.cli ARGV` as _modules_after runs it."""
+    return _modules_after(f"import runpy; sys.argv = ['queuemax', *{list(argv)!r}]; "
+                          "runpy.run_module('queuemax.cli', run_name='__main__', alter_sys=True)")
+
+
+ANALYZE = {"geo": ["analyze", "geo", *MODEL_FLAGS["geo"], "--c", "3"],
+           "mm": ["analyze", "mm", *MODEL_FLAGS["mm"], "--c", "1"]}
+
+
+@pytest.mark.parametrize("launch,code", [
+    ("import queuemax", 0),
+    ("import queuemax.cli as cli; cli.build_parser()", 0),
+    (["--help"], 0),
+    (["--version"], 0),
+    (["analyze", "geo", "--p", "1/3"], 2),  # --r missing
+    ([*ANALYZE["geo"], "--reps", "5"], 2),  # not an analyze flag
+], ids=["import", "build_parser", "help", "version", "missing_flag", "unknown_flag"])
+def test_launch_without_a_command_loads_no_numpy(launch, code):
+    exit_code, loaded = (_modules_after(launch) if isinstance(launch, str)
+                         else _cli_modules(*launch))
+    assert exit_code == code
+    assert "queuemax" in loaded and "numpy" not in loaded
+
+
+@pytest.mark.parametrize("target", ANALYZE)
+def test_analyze_loads_no_simulator(target):
+    code, loaded = _cli_modules(*ANALYZE[target])
+    assert code == 0
+    _, numpy_alone = _modules_after("import numpy")  # numpy 1.x loads numpy.random itself
+    simulation = {"queuemax.geo_sim", "queuemax.mm_sim", "queuemax.replication", "numpy.random"}
+    assert f"queuemax.{target}_analysis" in loaded
+    assert not loaded & simulation - numpy_alone
+
+
+# perfbench's tracer wraps cli's library names by setattr as soon as queuemax is imported,
+# before any command has bound them; each wrapper must stay the one a command calls
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+TRACED_FIRST = f"""
+import contextlib, importlib.util, io, json, tempfile
+import queuemax
+spec = importlib.util.spec_from_file_location("spans", {str(SPANS)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install(queuemax)
+cli = queuemax.cli
+for trace_id, argv in enumerate([{ANALYZE["geo"]!r}, ["compare", "mm", "--lambda", "1/3",
+        "--mu", "1/2", "--n", "200", "--reps", "20"]]):
+    with tracer.trace("command", trace_id), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--out", tempfile.mkdtemp()]) == 0
+labels = {{attr: spans._home(getattr(cli, attr).__wrapped__) + "." + attr
+           for module, attr in spans.TARGETS if module == "cli"}}
+print(json.dumps({{attr: sum(s[0] == label for s in tracer.spans)
+                  for attr, label in labels.items()}}))
+"""
+
+
+def test_tracer_installed_before_any_command_records_its_cli_spans():
+    run = _python("-c", TRACED_FIRST)
+    assert run.returncode == 0, run.stderr
+    counts = json.loads(run.stdout)
+    # mean_queue_length is wrapped for the probes; neither command simulates geo
+    assert {attr for attr, count in counts.items() if count == 0} == {
+        "mean_queue_length", "replicate_max_length"}
+
+
+SPIED_FIRST = """
+import contextlib, io, json
+import pytest
+import queuemax.cli as cli
+from queuemax.geo_sim import replicate_max_length
+assert "replicate_max_length" not in vars(cli)  # no command has bound it yet
+calls = []
+
+def spy(config):
+    calls.append(config.reps)
+    return replicate_max_length(config)
+
+with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+    SET(cli, "replicate_max_length", spy)
+    code = cli.main(["simulate", "geo", "--p", "1/3", "--r", "1/6", "--c", "3", "--n", "50",
+                     "--reps", "4"])
+print(json.dumps([code, calls]))
+"""
+
+
+@pytest.mark.parametrize("setter", ["patch.setattr", "setattr"])
+def test_name_set_before_the_first_command_is_the_one_called(setter):
+    run = _python("-c", SPIED_FIRST.replace("SET", setter))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [0, [4]]
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         assert main(["analyze", "geo", "--p", "0.1", "--r", "0.2", "--c", "3"]) == 0

@@ -1,6 +1,8 @@
 """The package's public names: what `import queuemax` exposes, and what it does not."""
 import types
 
+import pytest
+
 import queuemax
 import queuemax.geo_analysis
 import queuemax.numerics
@@ -9,6 +11,8 @@ NU_KERNELS = ("polynomial_roots", "solve_linear_system", "fixed_point_root")
 
 
 def _public_names():
+    for name in queuemax.__all__:  # the package binds each name on first access
+        getattr(queuemax, name)
     return {name for name, value in vars(queuemax).items()
             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
 
@@ -16,6 +20,17 @@ def _public_names():
 def test_all_lists_every_public_name():
     assert len(queuemax.__all__) == len(set(queuemax.__all__))
     assert set(queuemax.__all__) - {"__version__"} == _public_names()
+
+
+def test_dir_lists_every_public_name():
+    assert set(queuemax.__all__) <= set(dir(queuemax))
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "polynomial_roots", "np"])
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(queuemax, name)
+    assert not hasattr(queuemax, name)
 
 
 def test_nu_kernels_are_not_exported():
