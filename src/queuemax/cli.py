@@ -22,7 +22,6 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import cache
 from importlib import import_module
 from math import ceil, inf, log
@@ -82,6 +81,7 @@ def parse_number(text: str) -> float:
     """Accept decimals or exact fractions like '1/3'."""
     try:
         if "/" in text:
+            from fractions import Fraction  # it loads decimal: only an a/b argument pays for both
             return float(Fraction(text))
         return float(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -32,14 +32,20 @@ unchanged: a run is fixed by its seeds alone.
   every start min(u, cL) and combination of L buckets (one int16 index, from
   `_group_indices`), the tables give the change in u, the highest u reached
   and the sum of u; the last (slots mod L) slots take a shorter walk's.
-- `_run_single` takes single runs, time averages and narrow chunks. It
-  splits each batch like a horizon, into draws of at most SCALAR_BLOCKS *
-  BLOCK = 4,096 slots, and buckets and groups each draw for all its
-  generators at once. Per generator, one list comprehension advances u over the
-  draw's whole groups and records u; numpy takes at those start states
-  then give the peak, max(u + top), and the area, L sum(u) + sum(area); the
-  last (slots mod L) slots are stepped in Python. Its scratch is one row of
-  at most 4,096 doubles per generator, and it builds its tables once per call.
+- `_run_single` takes single runs, time averages and narrow chunks. It walks
+  the whole horizon once, in draws of at most SCALAR_DRAW * BLOCK = 65,536
+  slot-replications, the walked row counted as one more generator (its
+  recorded states and takes hold about as many bytes a slot as a decoded
+  row): a single run draws 32,768 slots at a time, 16 generators 3,855 each.
+  It buckets and groups each draw for all its generators at once. Per
+  generator, one list comprehension advances u over the draw's whole groups
+  and records u; numpy takes at those start states then give the peak,
+  max(u + top); the last (slots mod L) slots are stepped in Python. Draws
+  ignore batch edges, and only a time average reads the area table: the sum
+  of u up to an edge is L sum(u) + sum(area) over the whole groups before it,
+  plus the area of the first d slots of the group the edge cuts, which
+  walks[d] gives at the d low digits of that group's index. It builds its
+  tables once per call.
 - `_run_many` takes the replications of `replicate_max_length`, one kernel
   per chunk by its width. `_gather_maxima` moves every replication L slots
   per step, with two gathers, but pays seven numpy calls per step at any
@@ -74,7 +80,7 @@ from .replication import (SimResult, check_campaign, make_sim_result, substream_
 BLOCK = 1024       # most slots per generator call (performance only: the stream does not depend on it)
 REP_CHUNK = 4096   # replications per _run_many call, bounding its scratch (performance only)
 DRAW_CHUNK = 64    # replications drawn and bucketed together (performance only)
-SCALAR_BLOCKS = 4  # BLOCKs per draw in _run_single (performance only)
+SCALAR_DRAW = 64   # BLOCKs of slot-replications per _run_single draw (performance only)
 SCALAR_REPS = 28   # widest c >= 2 chunk walked by _run_single (performance only)
 STATE_CAP = 2**30  # tripwire: maxima are O(ln n), so this can only mean a bug
 INCREMENT_METHOD = "one uniform per slot, inverse CDF from +1 down"  # recorded in manifests
@@ -158,50 +164,70 @@ def _draw_buckets(gens, n: int, cuts, block: int):
             yield lo, hi, out
 
 
-def _run_single(params: GeoParams, gens, edges):
-    """Trajectories drawn batch by batch, each draw decoded for all of them at once.
+def _run_single(params: GeoParams, gens, n: int, edges=None):
+    """Trajectories of n slots, each draw decoded for all of them at once.
 
-    Returns each generator's maximum and its sums of u over the batches. Per
-    row, a comprehension walks the whole groups of a draw, recording only u;
-    their peak and area then come from numpy takes at the recorded start
-    states, and the leftover group of (slots mod L) is stepped in Python.
+    Returns each generator's maximum and, given batch edges
+    0 = e_0 <= ... <= e_B = n, its sums of u over the batches (else None).
+    Each edge is read from the walk as (q, d): the sum of u over the q whole
+    groups of the draw before it, plus the area of the first d slots of group
+    q, from walks[d] at g mod (m+1)^d for that group's index g.
     """
     c, (cuts, table) = params.c, _decode_table(params)
     walks, radix = _walk_tables(c, table), len(table)
     group, cap = len(walks) - 1, c * (len(walks) - 1)
-    views = [tuple(map(memoryview, walk)) for walk in walks]
-    delta, (_, top, area) = views[group][0], walks[group]
-    count, draw = len(gens), SCALAR_BLOCKS * BLOCK
-    index = np.empty((draw // group + 1, min(DRAW_CHUNK, count)), dtype=np.int16)
-    u, peaks, sums = [0] * count, [0] * count, [[] for _ in gens]
-    for lo, hi in zip(edges, edges[1:]):
-        totals = [0] * count
-        for first, last, buckets in _draw_buckets(gens, hi - lo, cuts, draw):
-            groups, rest = _group_indices(buckets, group, radix, cap + 1, index)
-            rows = last - first
+    deltas, tops = ([memoryview(walk[row]) for walk in walks] for row in (0, 1))
+    delta, top = deltas[group], walks[group][1]
+    count, draw = len(gens), max(SCALAR_DRAW * BLOCK // (len(gens) + 1), 1)  # + the walked row
+    index = np.empty((min(draw, n) // group + 1, min(DRAW_CHUNK, count)), dtype=np.int16)
+    u, peaks, start = [0] * count, [0] * count, 0
+    if edges is not None:  # only a time average reads the area tables
+        areas = [walk[2] for walk in walks]
+        area, parts = areas[group], [memoryview(walk) for walk in areas]
+        marks, totals, taken = [[] for _ in gens], [0] * count, 0
+    for first, last, buckets in _draw_buckets(gens, n, cuts, draw):
+        groups, rest = _group_indices(buckets, group, radix, cap + 1, index)
+        rows, steps = last - first, buckets.shape[1]
+        if edges is not None and first == 0:  # (group, slot in it) of each edge in this draw
+            here = [divmod(e - start, group) for e in edges[taken:] if e <= start + steps]
+            taken += len(here)
+            here.append((groups, rest))  # the draw's end carries the total to the next
+        for j, column in enumerate(index[:groups + 1, :rows].T, first):
+            v, codes = u[j], memoryview(column)  # whole groups, then the leftover one
+            path = [v]
             if groups:
-                for j, offsets in enumerate(index[:groups, :rows].T, first):
-                    v = u[j]
-                    path = [v]
-                    path += [v := v + delta[g + (v if v < cap else cap)] for g in offsets.tolist()]
-                    u[j] = v
-                    starts = np.fromiter(path, np.int32, groups + 1)[:-1]  # u < STATE_CAP + draw
-                    at = np.minimum(starts, cap)
-                    at += offsets
-                    peaks[j] = max(peaks[j], int((starts + top.take(at)).max()))
-                    totals[j] += group * int(starts.sum()) + int(area.take(at).sum())
+                path += [v := v + delta[g + (v if v < cap else cap)] for g in codes[:groups]]
+                starts = np.fromiter(path, np.int32, groups + 1)[:-1]  # u < STATE_CAP + draw
+                at = np.minimum(starts, cap)
+                at += column[:groups]
+                if edges is not None:
+                    gained = area.take(at)
+                np.add(starts, top.take(at), out=at)
+                peaks[j] = max(peaks[j], int(at.max()))
+            u[j] = v
             if rest:
-                short_delta, short_top, short_area = views[rest]
-                for j, g in enumerate(index[groups, :rows].tolist(), first):
-                    v = u[j]
-                    i = g + (v if v < cap else cap)
-                    peaks[j] = max(peaks[j], v + short_top[i])
-                    totals[j] += rest * v + short_area[i]
-                    u[j] = v + short_delta[i]
-            _check_state(max(peaks[first:last]))
-        for batches, total in zip(sums, totals):
-            batches.append(total)
-    return peaks, sums
+                i = codes[groups] + (v if v < cap else cap)
+                peaks[j] = max(peaks[j], v + tops[rest][i])
+                u[j] += deltas[rest][i]
+            if edges is not None:
+                total, done = totals[j], 0
+                for q, d in here:
+                    if q > done:
+                        total += group * int(starts[done:q].sum()) + int(gained[done:q].sum())
+                        done = q
+                    mark = total
+                    if d:
+                        s = path[q]
+                        mark += d * s + parts[d][codes[q] % (radix**d * (cap + 1))
+                                                 + (s if s < cap else cap)]
+                    marks[j].append(mark)
+                totals[j] = marks[j].pop()
+        _check_state(max(peaks[first:last]))
+        if last == count:
+            start += steps
+    if edges is None:
+        return peaks, None
+    return peaks, [[b - a for a, b in zip(mark, mark[1:])] for mark in marks]
 
 
 def _run_many(params: GeoParams, n: int, gens) -> np.ndarray:
@@ -213,7 +239,7 @@ def _run_many(params: GeoParams, n: int, gens) -> np.ndarray:
     module docstring has the timings.
     """
     if params.c > 1 and len(gens) <= SCALAR_REPS:
-        return np.array(_run_single(params, gens, [0, n])[0])
+        return np.array(_run_single(params, gens, n)[0])
     narrow = params.c == 1 and len(gens) < 2 * DRAW_CHUNK
     kernel = _lindley_maxima if narrow else _gather_maxima
     return kernel(params, n, gens)
@@ -327,7 +353,7 @@ def simulate_max_length(params: GeoParams, n: int, seed: int) -> int:
     """Maximum queue length observed over an n-step trajectory; GeoSimConfig checks n and seed."""
     GeoSimConfig(params, n, 1, seed)
     gen = np.random.Generator(np.random.PCG64(seed))
-    (peak,), _ = _run_single(params, [gen], [0, n])
+    (peak,), _ = _run_single(params, [gen], n)
     return peak
 
 
@@ -342,7 +368,7 @@ def time_average_queue_length(params: GeoParams, n: int, seed: int, batches: int
     check_campaign(seed, horizon=n, batches=batches)
     edges = [round(i * n / batches) for i in range(batches + 1)]
     gen = np.random.Generator(np.random.PCG64(seed))
-    _, (batch_sums,) = _run_single(params, [gen], edges)
+    _, (batch_sums,) = _run_single(params, [gen], n, edges)
     means = np.asarray(batch_sums) / np.diff(edges)
     return float(means.mean()), float(means.std(ddof=1) / sqrt(batches))
 

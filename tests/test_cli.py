@@ -566,6 +566,9 @@ def test_launch_without_a_command_loads_no_numpy(launch, code):
                          else _cli_modules(*launch))
     assert exit_code == code
     assert "queuemax" in loaded and "numpy" not in loaded
+    # fractions (which loads decimal) is for arguments like 1/3 alone
+    fraction = isinstance(launch, list) and any("/" in arg for arg in launch)
+    assert {"fractions", "decimal"} & loaded == ({"fractions", "decimal"} if fraction else set())
 
 
 @pytest.mark.parametrize("target", ANALYZE)

@@ -58,7 +58,7 @@ class TestDeterminism:
         config = GeoSimConfig(params, n, reps, master)
         vector = replicate_max_length(config).samples
         gens = [substream_generator(master, i) for i in range(reps)]
-        scalar, _ = geo_sim._run_single(params, gens, [0, n])
+        scalar, _ = geo_sim._run_single(params, gens, n)
         assert vector.tolist() == scalar
 
     def test_schedule_independence(self, monkeypatch):
@@ -79,7 +79,7 @@ class TestDeterminism:
                         patch.setattr(geo_sim, "REP_CHUNK", rep_chunk)
                         chunked.append(replicate_max_length(config).samples)
                     gens = [substream_generator(5, i) for i in range(45, 50)]  # 2 sub-chunks
-                    scalar, _ = geo_sim._run_single(params, gens, [0, n])
+                    scalar, _ = geo_sim._run_single(params, gens, n)
                 for samples in chunked:
                     assert np.array_equal(reference_samples, samples)
                 assert scalar == reference_samples[45:].tolist()

@@ -15,12 +15,12 @@ then with `PYTHONPATH=src python tests/test_geo_stream.py`.
 The property tests check the decode table against the increment laws, the
 multi-slot walk tables against the per-slot rule, and every kernel against
 the reference across block and sub-chunk edges. `_run_single` draws
-SCALAR_BLOCK slots at a time for all its generators, so its horizons and
-batch edges on both sides of that are checked against the reference
-directly, without a golden file.
+SCALAR_DRAW * BLOCK // (width + 1) slots at a time for each of its `width`
+generators, whatever the batch edges, so its horizons on both sides of the
+draws of 1 and of 16 generators, and batch edges anywhere in a draw, are
+checked against the reference directly, without a golden file.
 """
 import json
-from functools import cache
 from itertools import count
 from math import sqrt
 from pathlib import Path
@@ -51,11 +51,19 @@ BLOCK, CHUNK, SCALAR_REPS = geo_sim.BLOCK, geo_sim.DRAW_CHUNK, geo_sim.SCALAR_RE
 TIME_AVERAGES = ((100, 100), (513, 2), (1000, 7), (1537, 3), (2048, 4), (5000, 9),
                  (BLOCK - 1, 3), (BLOCK + 1, 2), (2 * BLOCK + 1, 3))
 MAXIMA_HORIZONS = (1, 511, 512, 513, 1537, 3000, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1)
-# horizons and batches of SCALAR_BLOCK + j slots: the scalar path's last draw of
-# j = 1..5 slots ends on a short walk of every k < L (L <= 6 here)
-SCALAR_BLOCK = geo_sim.SCALAR_BLOCKS * BLOCK
-SCALAR_BLOCK_CASES = tuple((n, None) for n in range(SCALAR_BLOCK - 1, SCALAR_BLOCK + 6)) + tuple(
-    (2 * (SCALAR_BLOCK + j), 2) for j in range(-1, 6))
+
+
+def _draw(width, block=BLOCK):
+    """Slots per draw of `_run_single` for `width` generators, the walked row counted."""
+    return max(geo_sim.SCALAR_DRAW * block // (width + 1), 1)
+
+
+SINGLE_DRAW = _draw(1)
+# (width, j, batches): horizons of draw + j slots and batches of as many, j = -1..5, for
+# the draws of 1 and of 16 generators: one draw or two nearly equal ones, whose lengths
+# mod L take every value (L <= 6 here)
+DRAW_CASES = tuple((width, j, batches) for width in (1, 16) for batches in (None, 2)
+                   for j in range(-1, 6))
 
 
 def _cases():
@@ -110,8 +118,6 @@ def _reference_scalar_output(c, n, batches, seed):
     return [float(means.mean()), float(means.std(ddof=1) / sqrt(batches))]
 
 
-_cached_reference = cache(_reference_scalar_output)
-
 
 def _scalar_golden():
     return {(case["c"], case["n"], case["batches"], case["seed"]): case["output"]
@@ -127,11 +133,19 @@ def test_scalar_path_matches_recorded_stream(c, n, batches, seed, block, monkeyp
 
 @pytest.mark.parametrize("block", [BLOCK, 1, 7, 333])
 @pytest.mark.parametrize("c", list(PARAMS))
-@pytest.mark.parametrize("n,batches", SCALAR_BLOCK_CASES)
-def test_scalar_path_matches_reference_across_draws(c, n, batches, block, monkeypatch):
-    monkeypatch.setattr(geo_sim, "BLOCK", block)  # draws of SCALAR_BLOCKS * block slots
-    seed = 300 * c + n + (batches or 0)
-    assert _scalar_output(c, n, batches, seed) == _cached_reference(c, n, batches, seed)
+@pytest.mark.parametrize("width,j,batches", DRAW_CASES)
+def test_scalar_path_matches_reference_across_draws(c, width, j, batches, block, monkeypatch):
+    monkeypatch.setattr(geo_sim, "BLOCK", block)  # draws scale with BLOCK
+    n = (draw := _draw(width, block) + j) * (batches or 1)
+    edges = None if batches is None else [0, draw, n]
+    seed = 300 * c + n + width
+    gens = [substream_generator(seed, i) for i in range(width)]
+    peaks, sums = geo_sim._run_single(PARAMS[c], gens, n, edges)
+    p, r = PARAMS[c].p, PARAMS[c].r
+    want = [geo_max_by_recursion(p, r, c, n, substream_generator(seed, i), edges)
+            for i in range(width)]
+    assert peaks == [peak for peak, _ in want]
+    assert sums == (None if edges is None else [batch for _, batch in want])
 
 
 @pytest.mark.parametrize("c", list(PARAMS))
@@ -145,55 +159,37 @@ def test_scalar_maxima_over_short_horizons(c):
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
-       n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000]),
-       reps=st.sampled_from([1, 2, SCALAR_REPS, SCALAR_REPS + 1, CHUNK - 1, CHUNK, CHUNK + 1,
-                             2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]),
-       master=st.integers(0, 2**63 - 1))
-@example(p=1 / 3, r=1 / 6, c=3, n=BLOCK + 1, reps=SCALAR_REPS, master=3)  # widest scalar chunk
-@example(p=1 / 3, r=1 / 6, c=3, n=BLOCK + 1, reps=SCALAR_REPS + 1, master=3)  # c = 3 gather
-@example(p=1 / 3, r=1 / 2, c=1, n=BLOCK + 1, reps=2 * CHUNK - 1, master=3)  # widest Lindley chunk
-@example(p=1 / 3, r=1 / 2, c=1, n=BLOCK + 1, reps=2 * CHUNK, master=3)  # narrowest c = 1 gather
-def test_vector_kernel_matches_exact_recursion(p, r, c, n, reps, master):
-    assume(p < c * r)
-    params = validate_geo_params(p, r, c)
-    gens = [substream_generator(master, i) for i in range(reps)]
-    got = geo_sim._run_many(params, n, gens).tolist()
-    want = [geo_max_by_recursion(p, r, c, n, substream_generator(master, i))[0]
-            for i in range(reps)]
-    assert got == want
-
-
-@settings(max_examples=40, deadline=None)
-@given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
-       n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000, SCALAR_BLOCK - 1, SCALAR_BLOCK])
-       | st.integers(SCALAR_BLOCK + 1, 2 * SCALAR_BLOCK + 6),
+       n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000, SINGLE_DRAW - 1, SINGLE_DRAW])
+       | st.integers(SINGLE_DRAW + 1, 2 * SINGLE_DRAW + 6),
        cuts=st.lists(st.floats(0.0, 1.0), max_size=4), seed=st.integers(0, 2**63 - 1))
 @example(p=0.3, r=0.25, c=2, n=BLOCK + 1, cuts=[0.5, 0.0, 0.5], seed=1)  # two empty batches
-@example(p=1 / 3, r=1 / 2, c=1, n=2 * SCALAR_BLOCK + 5, cuts=[0.5], seed=2)  # batches past a draw
+@example(p=1 / 3, r=1 / 2, c=1, n=2 * SINGLE_DRAW + 5, cuts=[0.5], seed=2)  # an edge in a draw
 def test_scalar_path_matches_exact_recursion(p, r, c, n, cuts, seed):
     assume(p < c * r)
     edges = sorted([0, n, *(round(x * n) for x in cuts)])  # repeats make empty batches
     params = validate_geo_params(p, r, c)
     gen = np.random.Generator(np.random.PCG64(seed))
-    (peak,), (sums,) = geo_sim._run_single(params, [gen], edges)
+    (peak,), (sums,) = geo_sim._run_single(params, [gen], n, edges)
     want = geo_max_by_recursion(p, r, c, n, np.random.Generator(np.random.PCG64(seed)), edges)
     assert (peak, sums) == want
+
+
+CHUNK_BLOCK = 64  # BLOCK in the chunk-walk test: draws of 512-819 slots for its 4-7 generators
+CHUNK_DRAW = _draw(5, CHUNK_BLOCK)  # the draw of its examples' 5 generators
 
 
 @settings(max_examples=30, deadline=None)
 @given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
        reps=st.integers(4, 7), chunk=st.integers(1, 3),
-       n=st.sampled_from([1, BLOCK + 1, SCALAR_BLOCK, SCALAR_BLOCK + 1])
-       | st.integers(SCALAR_BLOCK + 2, 2 * SCALAR_BLOCK + 6),
+       n=st.sampled_from([1, CHUNK_BLOCK + 1, CHUNK_DRAW, 2 * CHUNK_DRAW])
+       | st.integers(2, 3 * CHUNK_DRAW),
        cuts=st.lists(st.floats(0.0, 1.0), max_size=3),
-       whole=st.lists(st.integers(0, SCALAR_BLOCK), max_size=3), master=st.integers(0, 2**63 - 1))
-# a horizon past two draws, alone and with an edge one slot into the second draw and one on
-# the last group boundary of the first (L = 3 at c = 3)
-@example(p=1 / 3, r=1 / 6, c=3, reps=5, chunk=2, n=2 * SCALAR_BLOCK + 5, cuts=[],
-         whole=[], master=1)
-@example(p=1 / 3, r=1 / 6, c=3, reps=5, chunk=2, n=2 * SCALAR_BLOCK + 5,
-         cuts=[(SCALAR_BLOCK + 1) / (2 * SCALAR_BLOCK + 5)], whole=[SCALAR_BLOCK // 3],
-         master=2)
+       whole=st.lists(st.integers(0, CHUNK_DRAW), max_size=3), master=st.integers(0, 2**63 - 1))
+# two whole draws, alone and with an edge one slot into the second draw and one on the
+# last group boundary of the first (L = 3 at c = 3)
+@example(p=1 / 3, r=1 / 6, c=3, reps=5, chunk=2, n=2 * CHUNK_DRAW, cuts=[], whole=[], master=1)
+@example(p=1 / 3, r=1 / 6, c=3, reps=5, chunk=2, n=2 * CHUNK_DRAW,
+         cuts=[(CHUNK_DRAW + 1) / (2 * CHUNK_DRAW)], whole=[CHUNK_DRAW // 3], master=2)
 def test_chunk_walk_matches_exact_recursion_per_generator(p, r, c, reps, chunk, n, cuts, whole,
                                                           master):
     # rows decoded in sub-chunks of DRAW_CHUNK < reps; edges anywhere, or on a group boundary
@@ -203,11 +199,88 @@ def test_chunk_walk_matches_exact_recursion_per_generator(p, r, c, reps, chunk, 
     edges = sorted([0, n, *(round(x * n) for x in cuts), *(min(k * group, n) for k in whole)])
     gens = [substream_generator(master, i) for i in range(reps)]
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geo_sim, "BLOCK", CHUNK_BLOCK)
         patch.setattr(geo_sim, "DRAW_CHUNK", chunk)
-        peaks, sums = geo_sim._run_single(params, gens, edges)
+        peaks, sums = geo_sim._run_single(params, gens, n, edges)
     want = [geo_max_by_recursion(p, r, c, n, substream_generator(master, i), edges)
             for i in range(reps)]
     assert list(zip(peaks, sums)) == want
+
+
+def _group(c):
+    """L, the slots per walk-table lookup, at PARAMS[c]."""
+    return len(geo_sim._walk_tables(c, geo_sim._decode_table(PARAMS[c])[1])) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.sampled_from(list(PARAMS)), block=st.sampled_from([1, 7, 333]),
+       batches=st.integers(2, 50), spacing=st.integers(1, 400), extra=st.integers(0, 49),
+       seed=st.integers(0, 2**63 - 1))
+def test_time_average_matches_exact_recursion(c, block, batches, spacing, extra, seed):
+    # edges round(i * n / batches), spaced unevenly when extra > 0, across draws of 32 (block
+    # 1), 224 (7) or 10,656 (333) slots: many edges in a draw, or one, or none
+    n = batches * spacing + extra % batches
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geo_sim, "BLOCK", block)
+        got = list(time_average_queue_length(PARAMS[c], n, seed, batches))
+    assert got == _reference_scalar_output(c, n, batches, seed)
+
+
+@pytest.mark.parametrize("block", [1, 7, 333])
+@pytest.mark.parametrize("c", list(PARAMS))
+def test_time_average_edges_at_every_offset_and_across_draws(c, block, monkeypatch):
+    monkeypatch.setattr(geo_sim, "BLOCK", block)
+    draw, group = _draw(1, block), _group(c)
+    # edges L + 1 slots apart fall at every offset within a group, many to a draw; edges
+    # 2 draws + 1 apart leave most draws without one
+    for spacing, batches in ((group + 1, 3 * draw // (group + 1)), (2 * draw + 1, 3)):
+        n = spacing * batches
+        edges = range(0, n + 1, spacing)
+        starts = np.cumsum([0, *geo_sim._blocks(n, draw)])
+        inside = [[e - lo for e in edges if lo < e < hi] for lo, hi in zip(starts, starts[1:])]
+        if spacing == group + 1:
+            assert {e % group for cut in inside for e in cut} == set(range(group))
+            assert max(map(len, inside)) >= 2
+        else:
+            assert min(map(len, inside)) == 0
+        got = list(time_average_queue_length(PARAMS[c], n, 400 + c, batches))
+        assert got == _reference_scalar_output(c, n, batches, 400 + c), (spacing, batches)
+
+
+class _Unread:
+    """Stands in for an area table: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"an area table was read (.{name})")
+
+
+def test_maxima_read_no_area_table(monkeypatch):
+    real = geo_sim._walk_tables
+    monkeypatch.setattr(geo_sim, "_walk_tables",
+                        lambda c, table: [(delta, top, _Unread()) for delta, top, _ in real(c, table)])
+    for c in PARAMS:
+        want = _reference_scalar_output(c, 2000, None, 7)
+        assert simulate_max_length(PARAMS[c], 2000, 7) == want
+    # a narrow c >= 2 chunk walks through _run_single too
+    gens = [substream_generator(7, i) for i in range(SCALAR_REPS)]
+    assert geo_sim._run_many(PARAMS[3], 2000, gens).tolist() == _reference_samples(3, 2000,
+                                                                                SCALAR_REPS, 7)
+    with pytest.raises((AssertionError, TypeError)):  # the stand-in does catch a reader
+        time_average_queue_length(PARAMS[3], 2000, 7, 4)
+
+
+@pytest.mark.parametrize("batches", [2, 100, 10_000])
+def test_time_average_decodes_the_horizon_once(batches, monkeypatch):
+    calls = []
+    real = geo_sim._draw_buckets
+
+    def spy(gens, n, cuts, block):
+        calls.append(n)
+        return real(gens, n, cuts, block)
+
+    monkeypatch.setattr(geo_sim, "_draw_buckets", spy)
+    time_average_queue_length(PARAMS[3], 10_000, 11, batches)
+    assert calls == [10_000]
 
 
 EDGE_RATES = [1e-9, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-9]
