@@ -43,9 +43,9 @@ unchanged: a run is fixed by its seeds alone.
   max(u + top); the last (slots mod L) slots are stepped in Python. Draws
   ignore batch edges, and only a time average reads the area table: the sum
   of u up to an edge is L sum(u) + sum(area) over the whole groups before it,
-  plus the area of the first d slots of the group the edge cuts, which
-  walks[d] gives at the d low digits of that group's index. It builds its
-  tables once per call.
+  read from one int64 prefix sum per row and draw, plus the area of the
+  first d slots of the group the edge cuts, which walks[d] gives at the d low
+  digits of that group's index. It builds its tables once per call.
 - `_run_many` takes the replications of `replicate_max_length`, one kernel
   per chunk by its width. `_gather_maxima` moves every replication L slots
   per step, with two gathers, but pays seven numpy calls per step at any
@@ -164,15 +164,27 @@ def _draw_buckets(gens, n: int, cuts, block: int):
             yield lo, hi, out
 
 
-def _run_single(params: GeoParams, gens, n: int, edges=None):
+def _head_sum(parts, radix: int, cap: int, g: int, s: int, d: int) -> int:
+    """Sum of u over the first d slots of a group with index g*S, from state s.
+
+    parts[d] is the area table of d slots, read at the d low digits of g.
+    """
+    if not d:
+        return 0
+    return d * s + parts[d][g % (radix**d * (cap + 1)) + (s if s < cap else cap)]
+
+
+def _run_single(params: GeoParams, gens, n: int | None = None, *, edges=None):
     """Trajectories of n slots, each draw decoded for all of them at once.
 
     Returns each generator's maximum and, given batch edges
-    0 = e_0 <= ... <= e_B = n, its sums of u over the batches (else None).
-    Each edge is read from the walk as (q, d): the sum of u over the q whole
-    groups of the draw before it, plus the area of the first d slots of group
-    q, from walks[d] at g mod (m+1)^d for that group's index g.
+    0 = e_0 <= ... <= e_B instead of n (the horizon is then e_B), its sums
+    of u over the batches (else None). Per draw and row, sums[q] is the sum
+    of u over the first q whole groups; an edge at (q, d) within the draw
+    adds the first d slots of group q (`_head_sum`).
     """
+    if edges is not None:
+        n = edges[-1]
     c, (cuts, table) = params.c, _decode_table(params)
     walks, radix = _walk_tables(c, table), len(table)
     group, cap = len(walks) - 1, c * (len(walks) - 1)
@@ -184,6 +196,7 @@ def _run_single(params: GeoParams, gens, n: int, edges=None):
     if edges is not None:  # only a time average reads the area tables
         areas = [walk[2] for walk in walks]
         area, parts = areas[group], [memoryview(walk) for walk in areas]
+        sums = np.zeros(len(index), dtype=np.int64)  # sums[0] stays 0
         marks, totals, taken = [[] for _ in gens], [0] * count, 0
     for first, last, buckets in _draw_buckets(gens, n, cuts, draw):
         groups, rest = _group_indices(buckets, group, radix, cap + 1, index)
@@ -191,7 +204,6 @@ def _run_single(params: GeoParams, gens, n: int, edges=None):
         if edges is not None and first == 0:  # (group, slot in it) of each edge in this draw
             here = [divmod(e - start, group) for e in edges[taken:] if e <= start + steps]
             taken += len(here)
-            here.append((groups, rest))  # the draw's end carries the total to the next
         for j, column in enumerate(index[:groups + 1, :rows].T, first):
             v, codes = u[j], memoryview(column)  # whole groups, then the leftover one
             path = [v]
@@ -201,7 +213,10 @@ def _run_single(params: GeoParams, gens, n: int, edges=None):
                 at = np.minimum(starts, cap)
                 at += column[:groups]
                 if edges is not None:
-                    gained = area.take(at)
+                    into = sums[1:groups + 1]
+                    np.multiply(starts, group, out=into, dtype=np.int64)
+                    into += area.take(at)
+                    np.cumsum(into, out=into)
                 np.add(starts, top.take(at), out=at)
                 peaks[j] = max(peaks[j], int(at.max()))
             u[j] = v
@@ -210,18 +225,11 @@ def _run_single(params: GeoParams, gens, n: int, edges=None):
                 peaks[j] = max(peaks[j], v + tops[rest][i])
                 u[j] += deltas[rest][i]
             if edges is not None:
-                total, done = totals[j], 0
-                for q, d in here:
-                    if q > done:
-                        total += group * int(starts[done:q].sum()) + int(gained[done:q].sum())
-                        done = q
-                    mark = total
-                    if d:
-                        s = path[q]
-                        mark += d * s + parts[d][codes[q] % (radix**d * (cap + 1))
-                                                 + (s if s < cap else cap)]
-                    marks[j].append(mark)
-                totals[j] = marks[j].pop()
+                total = totals[j]
+                marks[j] += [total + int(sums[q])
+                             + _head_sum(parts, radix, cap, codes[q], path[q], d) for q, d in here]
+                totals[j] = total + int(sums[groups]) + _head_sum(parts, radix, cap, codes[groups],
+                                                                   v, rest)
         _check_state(max(peaks[first:last]))
         if last == count:
             start += steps
@@ -368,7 +376,7 @@ def time_average_queue_length(params: GeoParams, n: int, seed: int, batches: int
     check_campaign(seed, horizon=n, batches=batches)
     edges = [round(i * n / batches) for i in range(batches + 1)]
     gen = np.random.Generator(np.random.PCG64(seed))
-    _, (batch_sums,) = _run_single(params, [gen], n, edges)
+    _, (batch_sums,) = _run_single(params, [gen], edges=edges)
     means = np.asarray(batch_sums) / np.diff(edges)
     return float(means.mean()), float(means.std(ddof=1) / sqrt(batches))
 

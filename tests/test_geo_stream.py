@@ -118,7 +118,6 @@ def _reference_scalar_output(c, n, batches, seed):
     return [float(means.mean()), float(means.std(ddof=1) / sqrt(batches))]
 
 
-
 def _scalar_golden():
     return {(case["c"], case["n"], case["batches"], case["seed"]): case["output"]
             for case in json.loads(SCALAR_GOLDEN.read_text())["cases"]}
@@ -140,7 +139,8 @@ def test_scalar_path_matches_reference_across_draws(c, width, j, batches, block,
     edges = None if batches is None else [0, draw, n]
     seed = 300 * c + n + width
     gens = [substream_generator(seed, i) for i in range(width)]
-    peaks, sums = geo_sim._run_single(PARAMS[c], gens, n, edges)
+    peaks, sums = (geo_sim._run_single(PARAMS[c], gens, n) if edges is None
+                   else geo_sim._run_single(PARAMS[c], gens, edges=edges))
     p, r = PARAMS[c].p, PARAMS[c].r
     want = [geo_max_by_recursion(p, r, c, n, substream_generator(seed, i), edges)
             for i in range(width)]
@@ -159,6 +159,26 @@ def test_scalar_maxima_over_short_horizons(c):
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
+       n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000]),
+       reps=st.sampled_from([1, 2, SCALAR_REPS, SCALAR_REPS + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                             2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]),
+       master=st.integers(0, 2**63 - 1))
+@example(p=1 / 3, r=1 / 6, c=3, n=BLOCK + 1, reps=SCALAR_REPS, master=3)  # widest scalar chunk
+@example(p=1 / 3, r=1 / 6, c=3, n=BLOCK + 1, reps=SCALAR_REPS + 1, master=3)  # c = 3 gather
+@example(p=1 / 3, r=1 / 2, c=1, n=BLOCK + 1, reps=2 * CHUNK - 1, master=3)  # widest Lindley chunk
+@example(p=1 / 3, r=1 / 2, c=1, n=BLOCK + 1, reps=2 * CHUNK, master=3)  # narrowest c = 1 gather
+def test_vector_kernel_matches_exact_recursion(p, r, c, n, reps, master):
+    assume(p < c * r)
+    params = validate_geo_params(p, r, c)
+    gens = [substream_generator(master, i) for i in range(reps)]
+    got = geo_sim._run_many(params, n, gens).tolist()
+    want = [geo_max_by_recursion(p, r, c, n, substream_generator(master, i))[0]
+            for i in range(reps)]
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(0.01, 0.99), r=st.floats(0.01, 0.99), c=st.sampled_from([1, 2, 3]),
        n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3000, SINGLE_DRAW - 1, SINGLE_DRAW])
        | st.integers(SINGLE_DRAW + 1, 2 * SINGLE_DRAW + 6),
        cuts=st.lists(st.floats(0.0, 1.0), max_size=4), seed=st.integers(0, 2**63 - 1))
@@ -169,7 +189,7 @@ def test_scalar_path_matches_exact_recursion(p, r, c, n, cuts, seed):
     edges = sorted([0, n, *(round(x * n) for x in cuts)])  # repeats make empty batches
     params = validate_geo_params(p, r, c)
     gen = np.random.Generator(np.random.PCG64(seed))
-    (peak,), (sums,) = geo_sim._run_single(params, [gen], n, edges)
+    (peak,), (sums,) = geo_sim._run_single(params, [gen], edges=edges)
     want = geo_max_by_recursion(p, r, c, n, np.random.Generator(np.random.PCG64(seed)), edges)
     assert (peak, sums) == want
 
@@ -201,7 +221,7 @@ def test_chunk_walk_matches_exact_recursion_per_generator(p, r, c, reps, chunk, 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geo_sim, "BLOCK", CHUNK_BLOCK)
         patch.setattr(geo_sim, "DRAW_CHUNK", chunk)
-        peaks, sums = geo_sim._run_single(params, gens, n, edges)
+        peaks, sums = geo_sim._run_single(params, gens, edges=edges)
     want = [geo_max_by_recursion(p, r, c, n, substream_generator(master, i), edges)
             for i in range(reps)]
     assert list(zip(peaks, sums)) == want
