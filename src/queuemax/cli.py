@@ -23,48 +23,25 @@ import time
 import warnings
 from contextlib import contextmanager
 from functools import cache
-from importlib import import_module
 from math import ceil, inf, log
 from pathlib import Path
 
 from . import __version__
 from .errors import HeuristicRangeWarning, NumericError, QueueMaxError, RangeError
 
-# The library names cli calls, by home module. None is imported here, as numpy
-# alone takes most of a launch: _bind makes them globals of this module on first
-# use, each builder binding the modules it calls, and callers look them up at call
-# time, so a name set from outside (a tracer's wrapper, a monkeypatch) is the one used.
-_HOMES = {
-    "numpy": ("np",),
-    # mean_queue_length is not called here: the perfbench tracer wraps and probes it
-    ".geo_analysis": ("analyze_geo", "expected_max_length", "max_length_law",
-                      "mean_queue_length"),
-    ".geo_sim": ("INCREMENT_METHOD", "GeoSimConfig", "replicate_max_length"),
-    ".mm_analysis": ("expected_max_wait_mm1", "max_wait_cdf_mm1", "mean_wait",
-                     "mm1_asymptotics", "validate_mm_params"),
-    ".mm_sim": ("EXPONENTIAL_METHOD", "MMSimConfig", "replicate_wait_maxima"),
-    ".params": ("validate_geo_params",),
-    ".replication": ("PRNG_ALGORITHM", "SEED_DERIVATION", "check_campaign"),
-    ".stats": ("gumbel_fit_two_moment", "ks_distance"),
-}
-_HOME = {name: home for home, names in _HOMES.items() for name in names}
+# cli reads each library name it calls as an attribute of this module, _lib.name. The
+# first read of a name binds it here from the package's lazy exports, so a command loads
+# only the modules it calls (numpy alone takes most of a launch), and a name set here from
+# outside (a tracer's wrapper, a monkeypatch) is the one called.
+_lib = sys.modules[__name__]
+_package = sys.modules[__package__]
 
 
-def _bind(*homes) -> None:
-    """Set each home module's names here, keeping any name already set."""
-    scope = globals()
-    for home in homes:
-        if not all(map(scope.__contains__, _HOMES[home])):
-            module = import_module(home, __package__)
-            for name in _HOMES[home]:
-                scope.setdefault(name, module if name == "np" else getattr(module, name))
-
-
-def __getattr__(name):  # a library name read from outside binds with its home module
-    if name not in _HOME:
+def __getattr__(name):
+    if name not in _package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_HOME[name])
-    return globals()[name]
+    value = globals()[name] = getattr(_package, name)
+    return value
 
 
 DEFAULT_MASTER_SEED = 123456789  # fixed so default runs reproduce; --seed random opts out
@@ -94,7 +71,7 @@ def parse_seed(text: str) -> int:
         return int.from_bytes(os.urandom(8), "big") >> 1  # 63 random bits
     try:
         seed = int(text, 0)
-        _bind(".replication")
+        from .replication import check_campaign
         check_campaign(seed)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
@@ -103,12 +80,12 @@ def parse_seed(text: str) -> int:
 
 
 TARGETS = {  # target: its model flags (flag, dest, help), what --n counts, and what its
-    # stream draws, named by the simulator constant that holds the draw method
+    # stream draws, with the simulator module and constant that hold the draw method
     "geo": ([("--p", "p", "arrival probability per slot"),
              ("--r", "r", "per-server departure probability per slot")],
-            "time steps", ("increments", "INCREMENT_METHOD")),
+            "time steps", ("increments", "geo_sim", "INCREMENT_METHOD")),
     "mm": ([("--lambda", "lam", "arrival rate"), ("--mu", "mu", "per-server service rate")],
-           "interval length", ("exponentials", "EXPONENTIAL_METHOD")),
+           "interval length", ("exponentials", "mm_sim", "EXPONENTIAL_METHOD")),
 }
 
 
@@ -142,13 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _inputs(args):
     """Validated parameters and horizon: time steps (geo) or interval length (mm)."""
     if args.target == "geo":
-        _bind(".params")
-        params = validate_geo_params(args.p, args.r, args.c)
+        params = _lib.validate_geo_params(args.p, args.r, args.c)
         if not 1 <= args.n < inf or args.n != int(args.n):
             raise RangeError(f"--n must be a positive integer of time steps, got {args.n}")
         return params, int(args.n)
-    _bind(".mm_analysis")
-    params = validate_mm_params(args.lam, args.mu, args.c)
+    params = _lib.validate_mm_params(args.lam, args.mu, args.c)
     if not 0 < args.n < inf:
         raise RangeError(f"--n must be a positive, finite interval length, got {args.n}")
     return params, float(args.n)
@@ -159,13 +134,13 @@ def _inputs(args):
 # One builder per (command, target): builder(params, n, reps, seed) returns
 # (report, samples pack, cdf pack), a pack being (header, rows) or None.
 # compare reuses simulate's replications and report header and analyze's
-# analytic helpers. Every cdf pack comes from _cdf_pack. Each builder first
-# binds the modules it calls.
+# analytic helpers. Every cdf pack comes from _cdf_pack. Library names are
+# read through _lib, so each builder loads only the modules it calls.
 
 def _prng(target) -> dict:
-    draws, method = TARGETS[target][2]
-    _bind(".replication", _HOME[method])
-    return {"algorithm": PRNG_ALGORITHM, "substreams": SEED_DERIVATION, draws: globals()[method]}
+    draws, home, constant = TARGETS[target][2]
+    method = getattr(getattr(_package, home), constant)  # the package imports home on first use
+    return {"algorithm": _lib.PRNG_ALGORITHM, "substreams": _lib.SEED_DERIVATION, draws: method}
 
 
 def _sim_report(target, params, n, reps, seed) -> dict:
@@ -181,7 +156,7 @@ def _cdf_pack(axis, grid, columns):
 
 def _gumbel_fit(samples):
     """Two-moment Gumbel fit, or None for a sample without spread."""
-    return gumbel_fit_two_moment(samples) if samples.std() > 0 else None
+    return _lib.gumbel_fit_two_moment(samples) if samples.std() > 0 else None
 
 
 def _se(result):
@@ -194,8 +169,8 @@ def _fit_report(fit):
 
 
 def _geo_law(params, n):
-    analysis = analyze_geo(params)
-    return analysis, max_length_law(analysis, n)
+    analysis = _lib.analyze_geo(params)
+    return analysis, _lib.max_length_law(analysis, n)
 
 
 def _geo_cdf_table(law):
@@ -208,7 +183,7 @@ def _geo_cdf_table(law):
     keeps every stride-th k from the low end, plus the high end, with the
     smallest stride that fits.
     """
-    _bind("numpy")
+    import numpy as np
 
     def first_reaching(level, start):
         k = max(start, ceil((log(-log(level)) - log(law.beta * law.n)) / log(law.omega)))
@@ -225,7 +200,6 @@ def _geo_cdf_table(law):
 
 
 def _analyze_geo(params, n, *_):
-    _bind(".geo_analysis")
     analysis, law = _geo_law(params, n)
     report = {
         "target": "geo",
@@ -247,7 +221,7 @@ def _analyze_geo(params, n, *_):
         "max_length": {
             "slope": law.slope,
             "intercept": law.intercept,
-            "expected_max": expected_max_length(analysis, n),
+            "expected_max": _lib.expected_max_length(analysis, n),
         },
         "mean_queue_length": analysis.mean_queue_length,
     }
@@ -256,14 +230,13 @@ def _analyze_geo(params, n, *_):
 
 def _geo_replicate(params, n, reps, seed):
     """The replications, with the report header and samples table simulate and compare share."""
-    result = replicate_max_length(GeoSimConfig(params, n, reps, seed))
+    result = _lib.replicate_max_length(_lib.GeoSimConfig(params, n, reps, seed))
     report = _sim_report("geo", {"p": params.p, "r": params.r, "c": params.c}, n, reps, seed)
     rows = list(zip(range(reps), result.seeds.tolist(), result.samples.tolist()))
     return result, report, (["replication", "seed", "max_length"], rows)
 
 
 def _simulate_geo(params, n, reps, seed):
-    _bind(".geo_sim")
     result, report, samples = _geo_replicate(params, n, reps, seed)
     report["max_length"] = {
         "mean": result.mean,
@@ -276,9 +249,8 @@ def _simulate_geo(params, n, reps, seed):
 
 
 def _compare_geo(params, n, reps, seed):
-    _bind(".geo_analysis", ".geo_sim", ".stats")
     analysis, law = _geo_law(params, n)
-    expected_max = expected_max_length(analysis, n)  # rejects n < 2 before any replication
+    expected_max = _lib.expected_max_length(analysis, n)  # rejects n < 2 before any replication
     result, report, samples = _geo_replicate(params, n, reps, seed)
     report["analytic"] = {
         "omega": analysis.omega,
@@ -293,7 +265,7 @@ def _compare_geo(params, n, reps, seed):
         "se": _se(result),
         "gumbel_fit": _fit_report(_gumbel_fit(result.samples)),
     }
-    report["ks_distance"] = ks_distance(result.ecdf, law.cdf, lattice=True)
+    report["ks_distance"] = _lib.ks_distance(result.ecdf, law.cdf, lattice=True)
     columns = {"predicted": law.cdf, "empirical": result.ecdf.evaluate}
     return report, samples, _cdf_pack("k", _geo_cdf_table(law), columns)
 
@@ -302,22 +274,22 @@ MM_KINDS = (("sys", "system"), ("que", "queue"))
 
 
 def _mm_mean_waits(params) -> dict:
-    return {"queue": mean_wait(params, "queue"), "system": mean_wait(params, "system")}
+    return {kind: _lib.mean_wait(params, kind) for kind in ("queue", "system")}
 
 
 def _mm1_expected_maxima(params, n) -> dict:
-    return {f"expected_max_{label}": expected_max_wait_mm1(params, kind, n)
+    return {f"expected_max_{label}": _lib.expected_max_wait_mm1(params, kind, n)
             for label, kind in MM_KINDS}
 
 
 def _mm1_cdfs(params, n) -> dict:
     """The single-server maximum-wait laws over [0, n], keyed by sys and que."""
-    return {label: lambda y, kind=kind: max_wait_cdf_mm1(params, kind, n, y)
+    return {label: lambda y, kind=kind: _lib.max_wait_cdf_mm1(params, kind, n, y)
             for label, kind in MM_KINDS}
 
 
 def _analyze_mm(params, n, *_):
-    _bind("numpy", ".mm_analysis")
+    import numpy as np
     report = {
         "target": "mm",
         "params": {"lambda": params.lam, "mu": params.mu, "c": params.c,
@@ -332,7 +304,7 @@ def _analyze_mm(params, n, *_):
             "note": "no analytic maximum-wait formulas for c >= 2; use simulate or compare",
         }
         return report, None, None
-    asym = mm1_asymptotics(params, "system")
+    asym = _lib.mm1_asymptotics(params, "system")
     report["max_wait"] = {"available": True, **_mm1_expected_maxima(params, n),
                           "slope": asym.scale}
     # y from 0 up to the law's far tail, and at least to 1; RangeError where A*n overflows,
@@ -347,7 +319,7 @@ def _analyze_mm(params, n, *_):
 
 def _mm_replicate(params, n, reps, seed):
     """The replications, with the report header and samples table simulate and compare share."""
-    result = replicate_wait_maxima(MMSimConfig(params, n, reps, seed))
+    result = _lib.replicate_wait_maxima(_lib.MMSimConfig(params, n, reps, seed))
     report = _sim_report("mm", {"lambda": params.lam, "mu": params.mu, "c": params.c},
                          n, reps, seed)
     columns = (result.max_sys.seeds, result.max_sys.samples, result.max_que.samples,
@@ -358,7 +330,6 @@ def _mm_replicate(params, n, reps, seed):
 
 
 def _simulate_mm(params, n, reps, seed):
-    _bind(".mm_sim")
     result, report, samples = _mm_replicate(params, n, reps, seed)
     report.update({
         "max_sys": {"mean": result.max_sys.mean, "se": _se(result.max_sys)},
@@ -372,7 +343,7 @@ def _simulate_mm(params, n, reps, seed):
 
 
 def _compare_mm(params, n, reps, seed):
-    _bind("numpy", ".mm_analysis", ".mm_sim", ".stats")
+    import numpy as np
     result, report, samples = _mm_replicate(params, n, reps, seed)
     maxima = {"sys": result.max_sys, "que": result.max_que}
     fits = {label: _gumbel_fit(sim.samples) for label, sim in maxima.items()}
@@ -392,7 +363,7 @@ def _compare_mm(params, n, reps, seed):
     columns = {}
     for label, sim in maxima.items():
         if laws:
-            report[f"ks_distance_{label}"] = ks_distance(sim.ecdf, laws[label])
+            report[f"ks_distance_{label}"] = _lib.ks_distance(sim.ecdf, laws[label])
             columns[f"predicted_{label}"] = laws[label]
         columns[f"empirical_{label}"] = sim.ecdf.evaluate
 

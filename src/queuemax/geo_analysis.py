@@ -269,6 +269,8 @@ class MaxLengthLaw:
 
     def mean(self) -> float:
         """Warns (but still evaluates) below one expected clump, where it can be negative."""
+        if self.n < 2:
+            raise RangeError(f"expected-maximum expansion needs n >= 2, got {self.n:g}")
         if self.beta * self.n < 1.0:
             warnings.warn(f"expected maximum evaluated at beta*n={self.beta * self.n:.6g} < 1; "
                           "the asymptotic approximation is unreliable there",
@@ -284,8 +286,6 @@ def max_length_law(analysis: GeoAnalysis, n: float) -> MaxLengthLaw:
 
 def expected_max_length(analysis: GeoAnalysis, n: float) -> float:
     """Asymptotic E(M_n) = slope * ln(n) + intercept."""
-    if n < 2:
-        raise RangeError(f"expected-maximum expansion needs n >= 2, got {n}")
     return max_length_law(analysis, n).mean()
 
 

@@ -581,6 +581,34 @@ def test_analyze_loads_no_simulator(target):
     assert not loaded & simulation - numpy_alone
 
 
+# the queuemax modules of each one-shot launch: what its builder calls, and no more
+# (`analyze --out` loads the simulator for the manifest's prng strings alone)
+BASE = {"queuemax", "queuemax.errors", "queuemax.params", "queuemax.stats"}
+GEO_ANALYSIS = {"queuemax.geo_analysis", "queuemax.numerics"}
+SIMULATION = {"queuemax.replication"}
+ONE_SHOT_LOADS = {
+    "analyze-geo": GEO_ANALYSIS,
+    "analyze-geo-out": GEO_ANALYSIS | SIMULATION | {"queuemax.geo_sim"},
+    "analyze-mm": {"queuemax.mm_analysis"},
+    "simulate-geo": SIMULATION | {"queuemax.geo_sim"},
+    "simulate-mm": SIMULATION | {"queuemax.mm_analysis", "queuemax.mm_sim"},
+    "compare-geo": GEO_ANALYSIS | SIMULATION | {"queuemax.geo_sim"},
+    "compare-mm": SIMULATION | {"queuemax.mm_analysis", "queuemax.mm_sim"},
+}
+
+
+@pytest.mark.parametrize("launch", ONE_SHOT_LOADS)
+def test_one_shot_launch_loads_what_its_command_calls(launch, tmp_path):
+    command, target, *out = launch.split("-")
+    argv = [command, target, *MODEL_FLAGS[target], "--c", "3" if target == "geo" else "1"]
+    argv += ["--n", "50"] + (["--reps", "4"] if command != "analyze" else [])
+    argv += ["--out", str(tmp_path)] if out else []
+    code, loaded = _cli_modules(*argv)
+    assert code == 0
+    assert {name for name in loaded if name.startswith("queuemax")} == (
+        BASE | ONE_SHOT_LOADS[launch])
+
+
 # perfbench's tracer wraps cli's library names by setattr as soon as queuemax is imported,
 # before any command has bound them; each wrapper must stay the one a command calls
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

@@ -394,6 +394,8 @@ class TestClumpRateAndMaxLaw:
             max_length_law(analysis, 0)
         with pytest.raises(RangeError):
             expected_max_length(analysis, 1)
+        with pytest.raises(RangeError, match="needs n >= 2"):
+            max_length_law(analysis, 1).mean()
 
 
 class TestMeanQueueLength:

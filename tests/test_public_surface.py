@@ -4,6 +4,7 @@ import types
 import pytest
 
 import queuemax
+import queuemax.cli
 import queuemax.geo_analysis
 import queuemax.numerics
 
@@ -42,3 +43,15 @@ def test_nu_kernels_stay_in_their_modules():
         kernel = getattr(queuemax.numerics, name)
         assert callable(kernel)
         assert getattr(queuemax.geo_analysis, name) is kernel
+
+
+def test_cli_reads_each_public_name_as_the_package_object():
+    for name in queuemax.__all__:  # cli binds each on its first read, from the package
+        assert getattr(queuemax.cli, name) is getattr(queuemax, name)
+
+
+@pytest.mark.parametrize("name", ["check_campaign", "INCREMENT_METHOD", "numerics",
+                                  "no_such_name", "np"])
+def test_cli_binds_no_name_the_package_does_not_export(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(queuemax.cli, name)
