@@ -21,8 +21,8 @@ _EXPORTS = {  # home module: the public names it defines, in the order of __all_
     # discrete-queue parameters and increments
     "params": ("GeoParams", "validate_geo_params", "increment_distribution"),
     "geo_analysis": ("GeoAnalysis", "NuRecord", "MaxLengthLaw", "analyze_geo",
-                     "decay_rate_omega", "stationary_distribution", "hitting_probabilities",
-                     "max_length_law", "expected_max_length", "mean_queue_length"),
+                     "decay_rate_omega", "hitting_probabilities", "max_length_law",
+                     "expected_max_length", "mean_queue_length"),
     "geo_sim": ("GeoSimConfig", "simulate_max_length", "replicate_max_length",
                 "time_average_queue_length"),
     "mm_analysis": ("MMParams", "MM1Asymptotics", "validate_mm_params", "mm1_asymptotics",
@@ -30,8 +30,7 @@ _EXPORTS = {  # home module: the public names it defines, in the order of __all_
     "mm_sim": ("MMSimConfig", "WaitDetail", "WaitSimResult", "assign_service_starts",
                "simulate_wait_detail", "replicate_wait_maxima"),
     # replication plumbing
-    "replication": ("SimResult", "substream_seed", "substream_generator",
-                    "PRNG_ALGORITHM", "SEED_DERIVATION"),
+    "replication": ("SimResult", "substream_seed", "substream_generator"),
     "stats": ("ECDF", "EULER_GAMMA", "GumbelParams", "SampleSummary",
               "gumbel_fit_two_moment", "ks_distance", "summarize"),
 }

@@ -79,13 +79,15 @@ def parse_seed(text: str) -> int:
     return seed
 
 
-TARGETS = {  # target: its model flags (flag, dest, help), what --n counts, and what its
-    # stream draws, with the simulator module and constant that hold the draw method
+# The manifest's prng block is PRNG plus what the target's stream draws (TARGETS). Each label
+# must change with the draw it names; the stream goldens in tests/data pin those draws.
+PRNG = {"algorithm": "PCG64", "substreams": "splitmix64(master_seed, replication_index)"}
+TARGETS = {  # target: its model flags (flag, dest, help), what --n counts, its stream's draws
     "geo": ([("--p", "p", "arrival probability per slot"),
              ("--r", "r", "per-server departure probability per slot")],
-            "time steps", ("increments", "geo_sim", "INCREMENT_METHOD")),
+            "time steps", {"increments": "one uniform per slot, inverse CDF from +1 down"}),
     "mm": ([("--lambda", "lam", "arrival rate"), ("--mu", "mu", "per-server service rate")],
-           "interval length", ("exponentials", "mm_sim", "EXPONENTIAL_METHOD")),
+           "interval length", {"exponentials": "inverse CDF: -log1p(-U)/mu"}),
 }
 
 
@@ -138,9 +140,7 @@ def _inputs(args):
 # read through _lib, so each builder loads only the modules it calls.
 
 def _prng(target) -> dict:
-    draws, home, constant = TARGETS[target][2]
-    method = getattr(getattr(_package, home), constant)  # the package imports home on first use
-    return {"algorithm": _lib.PRNG_ALGORITHM, "substreams": _lib.SEED_DERIVATION, draws: method}
+    return {**PRNG, **TARGETS[target][2]}
 
 
 def _sim_report(target, params, n, reps, seed) -> dict:
@@ -154,17 +154,14 @@ def _cdf_pack(axis, grid, columns):
     return [axis, *columns], list(zip(*cells))
 
 
-def _gumbel_fit(samples):
-    """Two-moment Gumbel fit, or None for a sample without spread."""
-    return _lib.gumbel_fit_two_moment(samples) if samples.std() > 0 else None
-
-
 def _se(result):
     """The standard error of a replicated mean, or None from one replication, which has none."""
     return result.se if len(result.samples) > 1 else None
 
 
-def _fit_report(fit):
+def _fit_report(samples):
+    """The two-moment Gumbel fit's location and scale, or None for a sample without spread."""
+    fit = _lib.gumbel_fit_two_moment(samples) if samples.std() > 0 else None
     return {"location": fit.location, "scale": fit.scale} if fit else None
 
 
@@ -263,7 +260,7 @@ def _compare_geo(params, n, reps, seed):
     report["empirical"] = {
         "mean_max": result.mean,
         "se": _se(result),
-        "gumbel_fit": _fit_report(_gumbel_fit(result.samples)),
+        "gumbel_fit": _fit_report(result.samples),
     }
     report["ks_distance"] = _lib.ks_distance(result.ecdf, law.cdf, lattice=True)
     columns = {"predicted": law.cdf, "empirical": result.ecdf.evaluate}
@@ -346,15 +343,14 @@ def _compare_mm(params, n, reps, seed):
     import numpy as np
     result, report, samples = _mm_replicate(params, n, reps, seed)
     maxima = {"sys": result.max_sys, "que": result.max_que}
-    fits = {label: _gumbel_fit(sim.samples) for label, sim in maxima.items()}
     report["empirical"] = {
         "mean_max_sys": result.max_sys.mean,
         "se_max_sys": _se(result.max_sys),
         "mean_max_que": result.max_que.mean,
         "se_max_que": _se(result.max_que),
         "pooled_mean_que": result.pooled_mean_que,
-        "gumbel_fit_sys": _fit_report(fits["sys"]),
-        "gumbel_fit_que": _fit_report(fits["que"]),
+        "gumbel_fit_sys": _fit_report(result.max_sys.samples),
+        "gumbel_fit_que": _fit_report(result.max_que.samples),
     }
     report["mean_wait_analytic"] = _mm_mean_waits(params)
     # analytic laws exist for c = 1 only; at c >= 2 the fits above are the whole model side

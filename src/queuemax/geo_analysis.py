@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import exp, log
+from math import exp, inf, log
 
 import numpy as np
 
@@ -141,11 +141,6 @@ def _stationary_from_omega(params: GeoParams, omega: float):
         raise DegenerateRootsError(
             f"stationary masses {boundary} not all in (0, 1] or {pi_c} not in (0, 1)")
     return boundary, pi_c
-
-
-def stationary_distribution(params: GeoParams):
-    """(pi_0..pi_{c-1}, pi_c); states beyond c carry mass omega^(j-c) * pi_c."""
-    return _stationary_from_omega(params, decay_rate_omega(params))
 
 
 def _divide_out_root_at_one(coeffs: np.ndarray) -> np.ndarray:
@@ -279,8 +274,8 @@ class MaxLengthLaw:
 
 
 def max_length_law(analysis: GeoAnalysis, n: float) -> MaxLengthLaw:
-    if n < 1:
-        raise RangeError(f"horizon must be at least 1 step, got {n}")
+    if not 1 <= n < inf:  # false for nan too
+        raise RangeError(f"horizon must be finite and at least 1 step, got {n}")
     return MaxLengthLaw(analysis.omega, analysis.beta, float(n), analysis.params.c)
 
 

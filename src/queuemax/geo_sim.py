@@ -83,7 +83,6 @@ DRAW_CHUNK = 64    # replications drawn and bucketed together (performance only)
 SCALAR_DRAW = 64   # BLOCKs of slot-replications per _run_single draw (performance only)
 SCALAR_REPS = 28   # widest c >= 2 chunk walked by _run_single (performance only)
 STATE_CAP = 2**30  # tripwire: maxima are O(ln n), so this can only mean a bug
-INCREMENT_METHOD = "one uniform per slot, inverse CDF from +1 down"  # recorded in manifests
 
 
 def _check_state(peak: int) -> None:

@@ -105,8 +105,8 @@ def mm1_asymptotics(params: MMParams, kind: Kind) -> MM1Asymptotics:
 
 def max_wait_cdf_mm1(params: MMParams, kind: Kind, n: float, y) -> float:
     """P{max wait over [0, n] <= y} under the Gumbel approximation."""
-    if n <= 0:
-        raise RangeError(f"horizon must be positive, got {n}")
+    if not 0 < n < inf:  # false for nan too
+        raise RangeError(f"horizon must be positive and finite, got {n}")
     asym = mm1_asymptotics(params, kind)
     exceedances = asym.exceedances(n)
     y_arr = np.asarray(y, dtype=np.float64)
@@ -121,8 +121,8 @@ def expected_max_wait_mm1(params: MMParams, kind: Kind, n: float) -> float:
 
     Warns (but still evaluates) below one expected exceedance, A * n < 1, where it
     can be negative."""
-    if n <= 0:
-        raise RangeError(f"horizon must be positive, got {n}")
+    if not 0 < n < inf:  # false for nan too
+        raise RangeError(f"horizon must be positive and finite, got {n}")
     asym = mm1_asymptotics(params, kind)
     if asym.rate_constant * n < 1.0:
         warnings.warn(f"expected maximum wait evaluated at A*n={asym.rate_constant * n:.6g} < 1; "

@@ -41,7 +41,6 @@ from .mm_analysis import MMParams
 from .replication import (SimResult, check_campaign, make_sim_result, substream_generators,
                           substream_seed)
 
-EXPONENTIAL_METHOD = "inverse CDF: -log1p(-U)/mu"
 _INT64_MAX = np.iinfo(np.int64).max
 POISSON_MEAN_MAX = float(_INT64_MAX - 10 * np.sqrt(_INT64_MAX))  # numpy's bound on a Poisson mean
 

@@ -2,8 +2,8 @@
 
 Replication i always draws from PCG64 seeded with splitmix64(master, i), so a
 run is fully determined by its master seed, an integer in [0, 2^64), and
-replication results do not depend on scheduling or chunking. The generator
-name and derivation rule are recorded in run manifests.
+replication results do not depend on scheduling or chunking. Run manifests
+name the generator and this rule from the CLI's own table (`cli.PRNG`).
 
 A campaign is seeded in one pass. `substream_seed` takes an array of
 replication indices and runs SplitMix64 over all of them in wrapping uint64
@@ -23,9 +23,6 @@ import numpy as np
 
 from .errors import RangeError
 from .stats import ECDF, summarize
-
-PRNG_ALGORITHM = "PCG64"
-SEED_DERIVATION = "splitmix64(master_seed, replication_index)"
 
 _MASK64, _MASK32 = (1 << 64) - 1, 0xFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15

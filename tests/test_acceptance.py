@@ -16,9 +16,9 @@ from queuemax import (EULER_GAMMA, GeoSimConfig, MMSimConfig, analyze_geo,
                       gumbel_fit_two_moment, hitting_probabilities,
                       increment_distribution, max_length_law, mean_queue_length,
                       replicate_max_length, replicate_wait_maxima,
-                      simulate_wait_detail, stationary_distribution,
-                      validate_geo_params, validate_mm_params)
+                      simulate_wait_detail, validate_geo_params, validate_mm_params)
 from queuemax.cli import main as cli_main
+from queuemax.geo_analysis import _stationary_from_omega
 from oracles import truncated_transition_matrix
 
 GEO3 = validate_geo_params(1 / 3, 1 / 6, 3)
@@ -51,9 +51,10 @@ def mm_runs():
 
 def test_criterion_01_decay_rate_and_pi3():
     omega = decay_rate_omega(GEO3)
-    _, pi_c = stationary_distribution(GEO3)
+    _, pi_c = _stationary_from_omega(GEO3, omega)
     ok = abs(omega - 0.5744080010) < 1e-8 and abs(pi_c - 0.1777380492) < 1e-8
-    runtime = best_time(lambda: (decay_rate_omega(GEO3), stationary_distribution(GEO3)))
+    runtime = best_time(
+        lambda: (decay_rate_omega(GEO3), _stationary_from_omega(GEO3, decay_rate_omega(GEO3))))
     ok = ok and runtime < 1e-3
     report(1, ok, f"omega={omega:.10f}, pi_3={pi_c:.10f}, runtime={runtime * 1e6:.0f}us")
 

@@ -411,6 +411,15 @@ class TestSimulate:
             "algorithm": "PCG64", "substreams": substreams,
             "exponentials": "inverse CDF: -log1p(-U)/mu"}
 
+    @pytest.mark.parametrize("target", ["geo", "mm"])
+    def test_analyze_manifest_names_the_stream_simulate_draws(self, target, tmp_path, capsys):
+        model = [*MODEL_FLAGS[target], "--c", "3" if target == "geo" else "1", "--n", "100"]
+        for command in ("analyze", "simulate"):
+            reps = ["--reps", "5"] if command == "simulate" else []
+            assert main([command, target, *model, *reps, "--out", str(tmp_path / command)]) == 0
+        assert (read_json(tmp_path / "analyze" / "manifest.json")["prng"]
+                == read_json(tmp_path / "simulate" / "manifest.json")["prng"])
+
     def test_random_seed_opt_in(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "ra", tmp_path / "rb"
         args = ["simulate", "geo", "--p", "0.2", "--r", "0.3", "--c", "1",
@@ -582,14 +591,14 @@ def test_analyze_loads_no_simulator(target):
 
 
 # the queuemax modules of each one-shot launch: what its builder calls, and no more
-# (`analyze --out` loads the simulator for the manifest's prng strings alone)
 BASE = {"queuemax", "queuemax.errors", "queuemax.params", "queuemax.stats"}
 GEO_ANALYSIS = {"queuemax.geo_analysis", "queuemax.numerics"}
 SIMULATION = {"queuemax.replication"}
 ONE_SHOT_LOADS = {
     "analyze-geo": GEO_ANALYSIS,
-    "analyze-geo-out": GEO_ANALYSIS | SIMULATION | {"queuemax.geo_sim"},
+    "analyze-geo-out": GEO_ANALYSIS,
     "analyze-mm": {"queuemax.mm_analysis"},
+    "analyze-mm-out": {"queuemax.mm_analysis"},
     "simulate-geo": SIMULATION | {"queuemax.geo_sim"},
     "simulate-mm": SIMULATION | {"queuemax.mm_analysis", "queuemax.mm_sim"},
     "compare-geo": GEO_ANALYSIS | SIMULATION | {"queuemax.geo_sim"},

@@ -1,6 +1,6 @@
 """Analytic pipeline for the discrete queue, checked against independent oracles."""
 import warnings
-from math import log, ulp
+from math import inf, log, nan, ulp
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from queuemax import (BracketError, ConvergenceError, DegenerateRootsError,
                       StabilityError, UnsupportedError, analyze_geo, decay_rate_omega,
                       expected_max_length, hitting_probabilities,
                       increment_distribution, max_length_law, mean_queue_length,
-                      stationary_distribution, validate_geo_params)
+                      validate_geo_params)
 from queuemax.geo_analysis import _stationary_from_omega
 from oracles import (decay_rate_omega_closed_form, mc_hitting_probability,
                      nu_by_closed_forms, omega_by_exact_bisection,
@@ -104,7 +104,7 @@ class TestDecayRate:
 
 class TestStationaryDistribution:
     def test_reference_pi3(self):
-        _, pi_c = stationary_distribution(REFERENCE)
+        _, pi_c = _stationary_from_omega(REFERENCE, decay_rate_omega(REFERENCE))
         assert pi_c == pytest.approx(PI3_REF, abs=1e-9)
 
     @pytest.mark.parametrize("c", [1, 2, 3])
@@ -112,7 +112,7 @@ class TestStationaryDistribution:
         for p, r in sampled_region(c):
             params = validate_geo_params(p, r, c)
             omega = decay_rate_omega(params)
-            boundary, pi_c = stationary_distribution(params)
+            boundary, pi_c = _stationary_from_omega(params, omega)
             total = sum(boundary) + pi_c / (1.0 - omega)
             assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -136,13 +136,15 @@ class TestStationaryDistribution:
     def test_masses_outside_unit_interval_rejected(self):
         # pi_0 / pi_3 is near p^-3 = 1e360, past the float range, so the law
         # normalises to masses (nan, 0, 0) and pi_3 = 0
+        params = validate_geo_params(1e-120, 0.5, 3)
+        omega = decay_rate_omega(params)
         with pytest.raises(DegenerateRootsError):
-            stationary_distribution(validate_geo_params(1e-120, 0.5, 3))
+            _stationary_from_omega(params, omega)
 
     def test_light_traffic_boundary_mass_may_round_to_one(self):
         # pi_0 = 1 - O(p) rounds to 1.0 below p ~ 1e-16, which is still a right law
         params = validate_geo_params(1e-17, 0.5, 1)
-        boundary, pi_c = stationary_distribution(params)
+        boundary, pi_c = _stationary_from_omega(params, decay_rate_omega(params))
         assert boundary == (1.0,)
         exact_boundary, exact_pi_c = stationary_by_exact_column_balance(params)
         ours, exact = np.array([*boundary, pi_c]), np.array([*exact_boundary, exact_pi_c])
@@ -164,7 +166,7 @@ class TestStationaryDistribution:
         # 3.1e-7 and 4.4e-5 relative at these points, where they cancel
         monkeypatch.setattr("queuemax.params.MAX_SERVERS", 20)
         params = validate_geo_params(p, r, c)
-        boundary, pi_c = stationary_distribution(params)
+        boundary, pi_c = _stationary_from_omega(params, decay_rate_omega(params))
         exact_boundary, exact_pi_c = stationary_by_exact_column_balance(params)
         ours, exact = np.array([*boundary, pi_c]), np.array([*exact_boundary, exact_pi_c])
         assert float(np.max(np.abs(ours / exact - 1.0))) < 1e-12
@@ -173,7 +175,7 @@ class TestStationaryDistribution:
         # slack c*r - p = 1.5e-5, and the fixed-point gap about as small near w = 1
         params = validate_geo_params(1.5e-5, 1e-5, 3)
         omega = decay_rate_omega(params)
-        boundary, pi_c = stationary_distribution(params)
+        boundary, pi_c = _stationary_from_omega(params, omega)
         assert sum(boundary) + pi_c / (1.0 - omega) == pytest.approx(1.0, abs=1e-12)
         ours = np.array([*boundary, *(pi_c * omega**j for j in range(401 - params.c))])
         assert float(np.max(np.abs(ours - truncated_stationary_vector(params, 401)))) < 1e-8
@@ -390,8 +392,9 @@ class TestClumpRateAndMaxLaw:
 
     def test_horizon_validation(self):
         analysis = analyze_geo(REFERENCE)
-        with pytest.raises(RangeError):
-            max_length_law(analysis, 0)
+        for n in (0, nan, inf):
+            with pytest.raises(RangeError, match="at least 1 step"):
+                max_length_law(analysis, n)
         with pytest.raises(RangeError):
             expected_max_length(analysis, 1)
         with pytest.raises(RangeError, match="needs n >= 2"):

@@ -1,7 +1,7 @@
 """Closed forms for the continuous-time queue."""
 import warnings
 from dataclasses import fields
-from math import exp, log
+from math import exp, inf, log, nan
 
 import numpy as np
 import pytest
@@ -74,10 +74,12 @@ class TestExpectedMaxWait:
                 assert gap == pytest.approx(log(1.0 / params.rho_single) / (mu - lam), rel=1e-10)
         assert [str(w.message).split()[5] for w in caught] == ["A*n=0.411239", "A*n=0.390372"]
 
-    @pytest.mark.parametrize("n", [0.0, -1.0])
+    @pytest.mark.parametrize("n", [0.0, -1.0, nan, inf])
     def test_non_positive_horizon_rejected(self, n):
         with pytest.raises(RangeError, match="horizon must be positive"):
             expected_max_wait_mm1(SINGLE, "system", n)
+        with pytest.raises(RangeError, match="horizon must be positive"):
+            max_wait_cdf_mm1(SINGLE, "system", n, 1.0)
 
     def test_multi_server_unsupported(self):
         with pytest.raises(UnsupportedError):
