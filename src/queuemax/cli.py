@@ -12,6 +12,10 @@ summary.json to stdout and writes nothing. With it, each file the command has
 (summary.json, samples.csv, cdf.csv, manifest.json) goes there via a temp name
 and a rename, so no partial file appears under a final name. The manifest
 records the exact parameters, PRNG algorithm and master seed.
+
+A command line that starts with a (command, target) pair is parsed by that
+pair's parser alone; anything else goes through the full parser tree, with
+the same messages.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import os
 import sys
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cache
 from math import ceil, inf, log
 from pathlib import Path
@@ -91,6 +95,11 @@ TARGETS = {  # target: its model flags (flag, dest, help), what --n counts, its 
 }
 
 
+# (command, target): its leaf parser, which build_parser records. run parses a command line
+# that starts with such a pair by that parser alone, as the full tree would hand it the rest
+_LEAVES: dict[tuple[str, str], argparse.ArgumentParser] = {}
+
+
 @cache  # built once per process: building takes longer than an `analyze` command
 def build_parser() -> argparse.ArgumentParser:
     """One sub-parser per (command, target), holding only that target's model flags."""
@@ -115,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                 sub.add_argument("--seed", type=parse_seed, default=DEFAULT_MASTER_SEED,
                                  help="master seed (integer), or 'random' for entropy")
             sub.set_defaults(parser=sub)  # run hands it the arguments it did not recognize
+            _LEAVES[command, target] = sub
     return parser
 
 
@@ -377,22 +387,31 @@ _BUILDERS = {
 
 # ---------------------------------------------------------------- file output
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path, text: str) -> None:
     """Write via a temp file unique to this call, so concurrent runs never share one."""
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        tmp.write_text(text)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mode as open() gives
+        try:
+            data = memoryview(text.encode())
+            while data:  # a regular file takes it in one write; a short write goes on
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
 def _csv_text(header, rows) -> str:
-    """Every cell is an int, a float or a header name, so none needs quoting."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    """Every cell is an int, a float or a header name, so none needs quoting.
+
+    Each row is a tuple, formatted by one "%s,...,%s" string: str() of every cell.
+    """
+    row = ",".join(["%s"] * len(header))
+    return "\n".join([",".join(header), *(row % cells for cells in rows)]) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -401,14 +420,15 @@ def _json_text(obj) -> str:
 
 def _write_outputs(out_dir: Path, report, manifest, samples, cdf) -> list[str]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "summary.json", _json_text(report))
+    join = os.path.join
+    _atomic_write(join(out_dir, "summary.json"), _json_text(report))
     written = ["summary.json"]
     for name, pack in (("samples.csv", samples), ("cdf.csv", cdf)):
         if pack is not None:
-            _atomic_write(out_dir / name, _csv_text(*pack))
+            _atomic_write(join(out_dir, name), _csv_text(*pack))
             written.append(name)
     written.append("manifest.json")
-    _atomic_write(out_dir / "manifest.json", _json_text(dict(manifest, outputs=written)))
+    _atomic_write(join(out_dir, "manifest.json"), _json_text(dict(manifest, outputs=written)))
     return written
 
 
@@ -431,7 +451,13 @@ def _manifest(args, argv, seed, duration) -> dict:
 # ---------------------------------------------------------------- entry points
 
 def run(argv) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
+    parser = build_parser()
+    leaf = _LEAVES.get(tuple(argv[:2]))
+    if leaf is None:  # help, --version, a missing or unknown target, an option before it
+        args, unknown = parser.parse_known_args(argv)
+    else:  # the tree's three levels would each scan every argument again
+        args, unknown = leaf.parse_known_args(argv[2:])
+        args.command, args.target = argv[:2]
     if unknown:  # reported with the usage line of the (command, target) that was reached
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     started = time.perf_counter()

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import queuemax
 from queuemax import (ECDF, HeuristicRangeWarning, MaxLengthLaw, RangeError, StabilityError,
                       summarize, validate_mm_params)
-from queuemax.cli import (CDF_POINTS, CDF_PROB_FLOOR, _atomic_write, _cdf_pack, _geo_cdf_table,
-                          build_parser, console_main, main, parse_number)
+from queuemax.cli import (CDF_POINTS, CDF_PROB_FLOOR, _atomic_write, _cdf_pack, _csv_text,
+                          _geo_cdf_table, build_parser, console_main, main, parse_number)
 
 
 def read_json(path):
@@ -333,6 +333,20 @@ class TestAtomicWrite:
         assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
 
 
+# the extremes of both cell types: str() of each is what a csv row holds
+CSV_CELLS = [0, 2**64 - 1, 0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_csv_rows_are_str_of_each_cell(width):
+    header = [f"column{j}" for j in range(width)]
+    rows = [tuple(CSV_CELLS[(i + j) % len(CSV_CELLS)] for j in range(width))
+            for i in range(len(CSV_CELLS))]
+    joined = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+    assert _csv_text(header, rows) == "\n".join(joined) + "\n"
+    assert _csv_text(header, []) == joined[0] + "\n"
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["simulate", "geo", "--p", "1/3", "--r", "1/6", "--c", "3",
@@ -569,7 +583,9 @@ ANALYZE = {"geo": ["analyze", "geo", *MODEL_FLAGS["geo"], "--c", "3"],
     (["--version"], 0),
     (["analyze", "geo", "--p", "1/3"], 2),  # --r missing
     ([*ANALYZE["geo"], "--reps", "5"], 2),  # not an analyze flag
-], ids=["import", "build_parser", "help", "version", "missing_flag", "unknown_flag"])
+    (["analyze"], 2),  # no target: the full parser tree reports it
+], ids=["import", "build_parser", "help", "version", "missing_flag", "unknown_flag",
+        "missing_target"])
 def test_launch_without_a_command_loads_no_numpy(launch, code):
     exit_code, loaded = (_modules_after(launch) if isinstance(launch, str)
                          else _cli_modules(*launch))
