@@ -228,7 +228,7 @@ def _analyze_geo(params, n, *_):
         "max_length": {
             "slope": law.slope,
             "intercept": law.intercept,
-            "expected_max": _lib.expected_max_length(analysis, n),
+            "expected_max": law.mean(),
         },
         "mean_queue_length": analysis.mean_queue_length,
     }
@@ -257,7 +257,7 @@ def _simulate_geo(params, n, reps, seed):
 
 def _compare_geo(params, n, reps, seed):
     analysis, law = _geo_law(params, n)
-    expected_max = _lib.expected_max_length(analysis, n)  # rejects n < 2 before any replication
+    expected_max = law.mean()  # rejects n < 2 before any replication
     result, report, samples = _geo_replicate(params, n, reps, seed)
     report["analytic"] = {
         "omega": analysis.omega,

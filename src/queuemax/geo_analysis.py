@@ -11,8 +11,9 @@ and from those the clump rate
     beta = pi_c * (1 - nu0) / omega^(c-1)
 
 which drives the running-maximum law P{M_n <= k} ~ exp(-beta * n * omega^k)
-and its affine-in-ln(n) expected maximum. omega is computed once, by
-bisection to float resolution, and passed to the stationary law and to nu.
+and its affine-in-ln(n) expected maximum. One analysis builds the increment
+table once and computes omega once, by bisection to float resolution; the
+table feeds omega, the stationary law and nu, and omega the other two.
 """
 from __future__ import annotations
 
@@ -103,7 +104,12 @@ def decay_rate_omega(params: GeoParams) -> float:
     1e-15 of load 1 can rounding flip the sign at 1 (BracketError) or put
     the root on 1 (DegenerateRootsError).
     """
-    probs = increment_distribution(params)[params.c]
+    return _omega_from_table(increment_distribution(params))
+
+
+def _omega_from_table(table: np.ndarray) -> float:
+    """decay_rate_omega with the increment table already at hand."""
+    probs = table[-1]  # the fully-busy law
     up, tails = float(probs[-1]), np.cumsum(probs[:-2]).tolist()  # P(X <= -k), k = c..1
 
     def balance(w: float) -> float:
@@ -118,7 +124,7 @@ def decay_rate_omega(params: GeoParams) -> float:
     return omega
 
 
-def _stationary_from_omega(params: GeoParams, omega: float):
+def _stationary_from_omega(params: GeoParams, omega: float, table: np.ndarray | None = None):
     """Boundary masses and pi_c from the cut balances below levels c..1.
 
     The queue rises at most one level per slot, so only level k-1 sends mass up
@@ -126,9 +132,10 @@ def _stationary_from_omega(params: GeoParams, omega: float):
     pi_{k-1} P_{k-1}(X = +1) = sum_{j=k..k+c-1} pi_j P_{min(j,c)}(X <= k-1-j).
     With the tail pi_j = omega^(j-c) pi_c every term is a product of probabilities,
     so nothing cancels. Raises DegenerateRootsError for a boundary mass outside
-    (0, 1] or a pi_c outside (0, 1); in light traffic pi_0 = 1 - O(p) rounds to 1."""
+    (0, 1] or a pi_c outside (0, 1); in light traffic pi_0 = 1 - O(p) rounds to 1.
+    Builds the increment table unless one is passed."""
     c = params.c
-    table = increment_distribution(params)
+    table = increment_distribution(params) if table is None else table
     up = table[:c, -1].tolist()  # P_b(X = +1) = p*s^b > 0
     below = np.cumsum(table, axis=1).tolist()  # below[b][c + m] = P_b(X <= m)
     ratio = [0.0] * c + [omega**i for i in range(c)]  # pi_j / pi_c, j < 2c
@@ -168,13 +175,14 @@ def hitting_probabilities(params: GeoParams) -> NuRecord:
     c+1 equations in c+1 unknowns are solved over the complex field with
     imaginary parts required to vanish.
     """
-    return _nu_from_omega(params, decay_rate_omega(params))
+    table = increment_distribution(params)
+    return _nu_from_omega(params, _omega_from_table(table), table)
 
 
-def _nu_from_omega(params: GeoParams, omega: float) -> NuRecord:
-    """hitting_probabilities with the descent root omega already at hand."""
+def _nu_from_omega(params: GeoParams, omega: float, table: np.ndarray) -> NuRecord:
+    """hitting_probabilities with the increment table and the descent root omega at hand."""
     c = params.c
-    law = increment_distribution(params)[c]  # alpha[-c..1] of the fully-busy walk
+    law = table[c]  # alpha[-c..1] of the fully-busy walk
     alpha = dict(enumerate(law.tolist(), -c))
     a_up, a_zero = alpha[1], alpha[0]
 
@@ -190,24 +198,20 @@ def _nu_from_omega(params: GeoParams, omega: float) -> NuRecord:
             f"expected {c - 1} ascent-denominator roots inside the unit disk, "
             f"found {len(interior)} among {ascent_roots}")
 
-    # unknown vector [nu0, nu_minus1, nu_1, ..., nu_{c-1}]
+    # unknown vector [nu0, nu_minus1, nu_1, ..., nu_{c-1}]; the solve makes the rows complex
     def ascent_condition(z):
-        row = np.zeros(c + 1, dtype=complex)
-        row[0] = z**c
-        row[1] = -a_up * z**c
-        for i in range(1, c):
-            row[1 + i] = sum(alpha[-m] * z ** (c - m + i) for m in range(i + 1, c + 1))
-        return row, a_zero * z**c + a_up * z ** (c + 1)
+        zc = z**c
+        row = [zc, -a_up * zc] + [sum(alpha[-m] * z ** (c - m + i) for m in range(i + 1, c + 1))
+                                  for i in range(1, c)]
+        return row, a_zero * zc + a_up * z ** (c + 1)
 
     def descent_condition(z):
-        row = np.zeros(c + 1, dtype=complex)
-        row[1] = a_up * z
-        for i in range(1, c):
-            row[1 + i] = -sum(alpha[-m] * z ** (m + 1 - i) for m in range(i + 1, c + 1))
+        row = [0.0, a_up * z] + [-sum(alpha[-m] * z ** (m + 1 - i) for m in range(i + 1, c + 1))
+                                 for i in range(1, c)]
         return row, sum(alpha[-m] * z ** (m + 1) for m in range(1, c + 1))
 
     rows, rhs = zip(*[ascent_condition(z) for z in [1.0, *interior]], descent_condition(omega))
-    solution = solve_linear_system(np.array(rows), np.array(rhs))
+    solution = solve_linear_system(rows, rhs)
     if float(np.max(np.abs(solution.imag))) > IMAG_TOL:
         raise DegenerateRootsError(
             f"hitting probabilities came out complex: {solution}")
@@ -218,10 +222,11 @@ def _nu_from_omega(params: GeoParams, omega: float) -> NuRecord:
 
 
 def analyze_geo(params: GeoParams) -> GeoAnalysis:
-    """Run the full pipeline once and package the results."""
-    omega = decay_rate_omega(params)
-    boundary, pi_c = _stationary_from_omega(params, omega)
-    nu = _nu_from_omega(params, omega)
+    """Run the full pipeline once, on one increment table, and package the results."""
+    table = increment_distribution(params)
+    omega = _omega_from_table(table)
+    boundary, pi_c = _stationary_from_omega(params, omega, table)
+    nu = _nu_from_omega(params, omega, table)
     beta = pi_c * (1.0 - nu.nu0) / omega ** (params.c - 1)
     return GeoAnalysis(params, omega, boundary, pi_c, nu, beta)
 
@@ -290,8 +295,9 @@ def mean_queue_length(params: GeoParams) -> float:
     Solves for omega and the stationary law; `GeoAnalysis.mean_queue_length`
     gives the same value from an analysis already at hand.
     """
-    omega = decay_rate_omega(params)
-    return _stationary_mean(params.c, omega, *_stationary_from_omega(params, omega))
+    table = increment_distribution(params)
+    omega = _omega_from_table(table)
+    return _stationary_mean(params.c, omega, *_stationary_from_omega(params, omega, table))
 
 
 def _stationary_mean(c: int, omega: float, boundary, pi_c: float) -> float:

@@ -661,9 +661,10 @@ def test_tracer_installed_before_any_command_records_its_cli_spans():
     run = _python("-c", TRACED_FIRST)
     assert run.returncode == 0, run.stderr
     counts = json.loads(run.stdout)
-    # mean_queue_length is wrapped for the probes; neither command simulates geo
+    # mean_queue_length is wrapped for the probes; the geo builders take expected_max
+    # from the law they hold (law.mean()); neither command simulates geo
     assert {attr for attr, count in counts.items() if count == 0} == {
-        "mean_queue_length", "replicate_max_length"}
+        "mean_queue_length", "expected_max_length", "replicate_max_length"}
 
 
 SPIED_FIRST = """

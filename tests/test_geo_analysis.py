@@ -13,6 +13,7 @@ from queuemax import (BracketError, ConvergenceError, DegenerateRootsError,
                       expected_max_length, hitting_probabilities,
                       increment_distribution, max_length_law, mean_queue_length,
                       validate_geo_params)
+import queuemax.geo_analysis as geo_analysis
 from queuemax.geo_analysis import _stationary_from_omega
 from oracles import (decay_rate_omega_closed_form, mc_hitting_probability,
                      nu_by_closed_forms, omega_by_exact_bisection,
@@ -36,6 +37,12 @@ INTERCEPT_REF = -2.9229790566
 HEAVY_TRAFFIC = [(1, 0.1, 0.9999), (1, 0.45, 0.9999), (2, 0.1, 0.9999), (2, 0.45, 0.9999),
                  (3, 0.1, 0.9999), (1, 0.1, 0.999), (1, 0.2, 0.9999), (1, 0.75, 0.9999),
                  (2, 0.1, 0.999), (3, 0.2, 0.9999)]
+
+
+# the (c, r, load) grid of the benchmark's analyze sweep, p = load*c*r below 1
+SWEEP = [(c, r, load) for c in (1, 2, 3) for r in (0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9)
+         for load in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999)
+         if load * c * r < 1.0]
 
 
 def sampled_region(c, count=5):
@@ -100,6 +107,14 @@ class TestDecayRate:
         else:  # parameters turned out benign; the closed form must then agree
             assert decay_rate_omega_closed_form(params) == pytest.approx(
                 decay_rate_omega(params), abs=1e-9)
+
+
+def ladder_points(c):
+    """The grid, heavy-traffic and edge (p, r) points of the ladder-height check."""
+    heavy = [(load * c * r, r) for load in (0.999, 0.9999) for r in (0.1, 0.25, 0.3)]
+    # at c = 3, load 1 - 1e-16: omega is a few ulps below 1
+    edge = [(0.9, 0.30000000000000004)] if c == 3 else []
+    return sampled_region(c) + heavy + edge
 
 
 class TestStationaryDistribution:
@@ -236,10 +251,7 @@ class TestHittingProbabilities:
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_descent_and_return_match_ladder_heights(self, c):
-        heavy = [(load * c * r, r) for load in (0.999, 0.9999) for r in (0.1, 0.25, 0.3)]
-        # at c = 3, load 1 - 1e-16: omega is a few ulps below 1
-        edge = [(0.9, 0.30000000000000004)] if c == 3 else []
-        for p, r in sampled_region(c) + heavy + edge:
+        for p, r in ladder_points(c):
             params = validate_geo_params(p, r, c)
             omega = decay_rate_omega(params)
             nu = hitting_probabilities(params)
@@ -429,6 +441,37 @@ class TestMeanQueueLength:
         oracle = truncated_stationary_vector(params, size=401)
         expected = float(np.dot(np.arange(401), oracle))
         assert mean_queue_length(params) == pytest.approx(expected, abs=1e-6)
+
+
+class TestOneIncrementTable:
+    """One analysis builds the increment table once and shares it among omega, pi and nu."""
+
+    @pytest.mark.parametrize("entry", [analyze_geo, hitting_probabilities, mean_queue_length],
+                             ids=lambda fn: fn.__name__)
+    def test_each_entry_point_builds_the_table_once(self, entry, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return increment_distribution(params)
+
+        monkeypatch.setattr(geo_analysis, "increment_distribution", counted)
+        entry(REFERENCE)
+        assert calls == [REFERENCE]
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_shared_table_gives_the_standalone_stages_bit_for_bit(self, c):
+        assert len(SWEEP) == 194
+        sweep = [(load * c * r, r) for c_, r, load in SWEEP if c_ == c]
+        for p, r in sweep + ladder_points(c):
+            params = validate_geo_params(p, r, c)
+            analysis = analyze_geo(params)
+            omega = decay_rate_omega(params)
+            # == on floats is bit for bit here: no stage returns a nan or a signed zero
+            assert analysis.omega == omega, (p, r, c)
+            assert (analysis.pi_boundary, analysis.pi_c) == _stationary_from_omega(params, omega)
+            assert analysis.nu == hitting_probabilities(params), (p, r, c)
+            assert analysis.mean_queue_length == mean_queue_length(params), (p, r, c)
 
 
 class TestContinuityOverParameters:
